@@ -5,20 +5,19 @@ over F_p); a field object supplies the arithmetic.  Matrices and subspaces
 are immutable, and subspaces are canonicalized to reduced row echelon form
 on construction, so subspace equality is entrywise comparison of bases.
 
-Large integer systems are reduced modulo a word-sized prime with numpy and
-the candidate kernel is certified by exact arithmetic afterwards; every
-returned object is exact regardless of the internal route.
+Kernels are computed by one sparse modular engine: elimination modulo a
+prime, and over Q rational reconstruction from several primes followed by
+an exact certificate, so every returned object is exact.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 
 class LinalgError(ValueError):
@@ -96,11 +95,34 @@ class RationalField:
         return "Q"
 
 
+# Miller-Rabin with the first twelve prime bases decides primality of every
+# n below this bound (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p):
+    """Deterministic Miller-Rabin; raises LinalgError above _MR_LIMIT."""
+    if p >= _MR_LIMIT:
+        raise LinalgError(f"{p} is too large to test for primality")
     if p < 2:
         return False
-    for d in range(2, math.isqrt(p) + 1):
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
     return True
 
@@ -564,35 +586,36 @@ def solve(m: Matrix, b):
 
 
 # ---------------------------------------------------------------------------
-# Accelerated kernels.  Systems are proposed modulo a word-sized prime with
-# numpy; over Q the result is certified exactly (and the certified basis is
-# the canonical one), with a pure fallback, so callers always get exact data.
+# Kernels.  One sparse modular engine serves every system: rows are made
+# primitive and deduplicated, eliminated modulo a prime, and the kernel is
+# read off by back-substitution.  Over Q the residues of several 31-bit
+# primes are lifted by CRT and rational reconstruction, and nothing is
+# returned until every vector annihilates every row exactly.  The k
+# certified vectors are RREF-shaped, hence independent, and k = dim ker_p >=
+# dim ker_Q, so they are the canonical basis of ker_Q.
 
-_PURE_LIMIT = 16384
-_F64_SAFE = 2 ** 53
-_CHUNK = 768
 
-
-def kernel_from_rows(field, ncols, sparse_rows, *, force_pure=False):
+def kernel_from_rows(field, ncols, sparse_rows):
     """Kernel of the system whose rows are {col: coeff} dicts.
 
     The rows may arrive in any order; the returned Subspace is canonical.
     """
-    rows = [r for r in sparse_rows if r]
+    rows = _distinct_rows(field, sparse_rows)
     if not rows or ncols == 0:
         return Subspace.full(field, ncols)
-    size = len(rows) * ncols
-    if force_pure or size < _PURE_LIMIT:
-        return _kernel_pure(field, ncols, rows)
     if isinstance(field, PrimeField):
-        return _kernel_modp_fast(field, ncols, rows)
-    result = _kernel_q_fast(ncols, rows)
-    if result is not None:
-        return result
-    return _kernel_pure(field, ncols, rows)
+        basis = _kernel_modp(rows, ncols, field.p)
+    else:
+        basis = _kernel_q(rows, ncols)
+    dense = [[field.zero] * ncols for _ in basis]
+    for row, vec in zip(dense, basis):
+        for c, v in vec.items():
+            row[c] = v
+    return Subspace(field, ncols, dense)
 
 
 def _kernel_pure(field, ncols, sparse_rows):
+    """Dense exact Gauss-Jordan kernel: the reference the engine is tested against."""
     zero = field.zero
     dense = []
     for rd in sparse_rows:
@@ -605,120 +628,119 @@ def _kernel_pure(field, ncols, sparse_rows):
     return Subspace(field, ncols, basis)
 
 
-def _np_rref(a, p):
-    """Vectorized Gauss-Jordan mod p on a float64 array holding residues.
+def _distinct_rows(field, sparse_rows):
+    """Each nonzero row once up to scale, as (col, int) pairs, lightest first.
 
-    Returns (nonzero reduced rows, pivot column list).  Exact because all
-    intermediates stay below 2**53.
+    Over Q a row is made primitive: integral, content 1, leading coefficient
+    positive.  Over F_p it is made monic.
     """
-    a = a % p
-    nrows, ncols = a.shape
-    piv = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        v = int(a[r, c])
-        if v != 1:
-            a[r] = (a[r] * pow(v, -1, p)) % p
-        f = a[:, c].copy()
-        f[r] = 0
-        hits = np.nonzero(f)[0]
-        if hits.size:
-            a[hits] -= np.outer(f[hits], a[r])
-            a[hits] %= p
-        piv.append(c)
-        r += 1
-    return a[:r], piv
-
-
-def _np_kernel_modp(arr, p):
-    """Canonical kernel basis mod p of a float64 matrix, processed in chunks."""
-    nrows, ncols = arr.shape
-    R = np.zeros((0, ncols))
-    piv: list[int] = []
-    for lo in range(0, nrows, _CHUNK):
-        chunk = arr[lo : lo + _CHUNK] % p
-        if piv:
-            coef = chunk[:, piv]
-            if coef.any():
-                chunk = (chunk - coef @ R) % p
-        Rc, pivc = _np_rref(chunk, p)
-        if pivc:
-            if piv:
-                coef = R[:, pivc]
-                if coef.any():
-                    R = (R - coef @ Rc) % p
-            R = np.vstack([R, Rc])
-            piv = piv + pivc
-            order = np.argsort(piv, kind="stable")
-            R = R[order]
-            piv = sorted(piv)
-    pivset = set(piv)
-    free = [c for c in range(ncols) if c not in pivset]
-    K = np.zeros((len(free), ncols))
-    if free:
-        K[np.arange(len(free)), free] = 1
-        if piv:
-            K[:, piv] = (-R[:, free].T) % p
-        K, _ = _np_rref(K, p)
-    return K
-
-
-def _rows_to_int_array(ncols, sparse_rows):
-    """Clear denominators per row; returns (float64 array, python-int rows)."""
-    int_rows = []
+    p = field.characteristic
+    exact = int if p else Fraction
+    seen = set()
     for rd in sparse_rows:
-        items = sorted(rd.items())
-        den = 1
-        for _, v in items:
-            if isinstance(v, Fraction):
-                den = den * v.denominator // math.gcd(den, v.denominator)
-        ints = [(c, int(v * den) if isinstance(v, Fraction) else int(v) * den) for c, v in items]
-        g = 0
-        for _, v in ints:
-            g = math.gcd(g, abs(v))
-        if g > 1:
-            ints = [(c, v // g) for c, v in ints]
-        int_rows.append(ints)
-    arr = np.zeros((len(int_rows), ncols))
-    big = False
-    for i, items in enumerate(int_rows):
+        items = []
+        for c, v in sorted(rd.items()):
+            # field.coerce is costly, and most values already have the field's type
+            if type(v) is not exact:
+                v = field.coerce(v)
+            elif p:
+                v %= p
+            if v:
+                items.append((c, v))
+        if not items:
+            continue
+        if p:
+            inv = pow(items[0][1], -1, p)
+            row = tuple((c, v * inv % p) for c, v in items)
+        else:
+            den = math.lcm(*(v.denominator for _, v in items))
+            ints = [v.numerator * (den // v.denominator) for _, v in items]
+            g = math.gcd(*ints)
+            if ints[0] < 0:
+                g = -g
+            row = tuple((c, x // g) for (c, _), x in zip(items, ints))
+        seen.add(row)
+    return sorted(seen, key=lambda r: (len(r), r))
+
+
+def _kernel_modp(rows, ncols, p):
+    """Canonical RREF basis of the kernel mod p, as {col: residue} rows.
+
+    Each pivot row is monic at its largest column, so reducing by pivots
+    from the largest column down never brings an eliminated pivot back.
+    Back-substitution then writes each pivot variable as a combination of
+    free ones to its left: the basis vector of free column f has its
+    leading 1 at f and vanishes at every other free column, which is RREF.
+    """
+    pivots = {}
+    for items in rows:
+        row = {}
         for c, v in items:
-            if abs(v) >= _F64_SAFE:
-                big = True
-            arr[i, c] = float(v)
-    return (None if big else arr), int_rows
+            if v % p:
+                row[c] = v % p
+        hits = [-c for c in row if c in pivots]
+        heapq.heapify(hits)
+        while hits:
+            pc = -heapq.heappop(hits)
+            f = row.get(pc)
+            if f is None:
+                continue
+            for c, a in pivots[pc].items():
+                old = row.get(c)
+                if old is None:
+                    row[c] = -f * a % p
+                    if c in pivots:
+                        heapq.heappush(hits, -c)
+                elif (old - f * a) % p:
+                    row[c] = (old - f * a) % p
+                else:
+                    del row[c]
+        if row:
+            pc = max(row)
+            inv = pow(row[pc], -1, p)
+            pivots[pc] = {c: v * inv % p for c, v in row.items()}
+    expr = {}
+    for pc in sorted(pivots):
+        e = {}
+        for c, a in pivots[pc].items():
+            if c != pc:
+                for fc, b in expr.get(c, {c: 1}).items():
+                    e[fc] = (e.get(fc, 0) - a * b) % p
+        expr[pc] = {fc: b for fc, b in e.items() if b}
+    basis = {fc: {fc: 1} for fc in range(ncols) if fc not in expr}
+    for pc, e in expr.items():
+        for fc, b in e.items():
+            basis[fc][pc] = b
+    return list(basis.values())
 
 
-def _kernel_modp_fast(field, ncols, sparse_rows):
-    p = field.p
-    if max(ncols, 1) * (p - 1) ** 2 >= _F64_SAFE:
-        return _kernel_pure(field, ncols, sparse_rows)
-    arr = np.zeros((len(sparse_rows), ncols))
-    for i, rd in enumerate(sparse_rows):
-        for c, v in rd.items():
-            arr[i, c] = field.coerce(v)
-    K = _np_kernel_modp(arr, p)
-    basis = [[int(x) % p for x in row] for row in K]
-    return Subspace(field, ncols, basis)
+def _kernel_q(rows, ncols):
+    """Canonical RREF basis of ker_Q: {col: Fraction} rows, certified exactly.
 
-
-def _lift_primes(ncols):
-    qmax = math.isqrt(_F64_SAFE // max(ncols, 1)) - 1
-    primes = []
-    q = qmax if qmax % 2 else qmax - 1
-    while len(primes) < 3 and q > 2:
-        if _is_prime(q):
-            primes.append(q)
-        q -= 2
-    return primes
+    Primes are ranked by the (dim, pivot columns) of their kernel: a
+    smaller dim means a higher rank, and at equal rank the pivots of a
+    good prime are never later than those of a bad one.  Residues are
+    combined only across primes with the best signature seen.
+    """
+    best = None
+    for p in filter(_is_prime, range(2**31 - 1, 2, -2)):
+        basis = _kernel_modp(rows, ncols, p)
+        sig = (len(basis), [min(v) for v in basis])
+        if best is None or sig < best:
+            best, modulus, acc = sig, 1, [{} for _ in basis]
+        elif sig != best:
+            continue
+        inv = pow(modulus, -1, p)
+        for lifted, vec in zip(acc, basis):
+            for c in set(lifted) | set(vec):
+                a = lifted.get(c, 0)
+                lifted[c] = a + modulus * ((vec.get(c, 0) - a) * inv % p)
+        modulus *= p
+        bound = math.isqrt(modulus // 2)
+        candidate = [{c: _rat_reconstruct(x, modulus, bound) for c, x in vec.items()} for vec in acc]
+        if all(None not in vec.values() for vec in candidate) and _annihilates(rows, candidate):
+            return candidate
+    raise LinalgError("no prime below 2**31 certified the kernel")
 
 
 def _rat_reconstruct(a, q, bound):
@@ -737,60 +759,18 @@ def _rat_reconstruct(a, q, bound):
     return Fraction(n, d)
 
 
-def _kernel_q_fast(ncols, sparse_rows):
-    arr, int_rows = _rows_to_int_array(ncols, sparse_rows)
-    if arr is None:
-        return None
-    max_a = int(np.abs(arr).max()) if arr.size else 0
-    for q in _lift_primes(ncols):
-        K = _np_kernel_modp(arr % q, q)
-        bound = math.isqrt((q - 1) // 2)
-        basis = []
-        ok = True
-        for row in K:
-            rat = []
-            for x in row:
-                x = int(x)
-                if x == 0:
-                    rat.append(Fraction(0))
-                    continue
-                f = _rat_reconstruct(x, q, bound)
-                if f is None:
-                    ok = False
-                    break
-                rat.append(f)
-            if not ok:
-                break
-            basis.append(rat)
-        if not ok:
-            continue
-        if _verify_int_kernel(int_rows, ncols, basis, max_a):
-            return Subspace(QQ, ncols, basis)
-    return None
-
-
-def _verify_int_kernel(int_rows, ncols, basis, max_a):
-    """Exact check that every proposed basis vector kills every row."""
-    scaled = []
-    max_k = 0
-    for vec in basis:
-        den = 1
-        for v in vec:
-            den = den * v.denominator // math.gcd(den, v.denominator)
-        ints = [int(v * den) for v in vec]
-        max_k = max(max_k, max((abs(x) for x in ints), default=0))
-        scaled.append(ints)
-    if not scaled:
-        return True
-    if ncols * max_a * max_k < _F64_SAFE:
-        A = np.zeros((len(int_rows), ncols))
-        for i, items in enumerate(int_rows):
-            for c, v in items:
-                A[i, c] = float(v)
-        V = A @ np.array(scaled, dtype=np.float64).T
-        return not V.any()
-    for items in int_rows:
-        for vec in scaled:
-            if sum(v * vec[c] for c, v in items) != 0:
-                return False
+def _annihilates(rows, vectors):
+    """Exact sparse check that every vector kills every integer row."""
+    by_col = {}
+    for i, vec in enumerate(vectors):
+        den = math.lcm(*(v.denominator for v in vec.values()))
+        for c, v in vec.items():
+            by_col.setdefault(c, []).append((i, v.numerator * (den // v.denominator)))
+    for items in rows:
+        sums = {}
+        for c, a in items:
+            for i, v in by_col.get(c, ()):
+                sums[i] = sums.get(i, 0) + a * v
+        if any(sums.values()):
+            return False
     return True

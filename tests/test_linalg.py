@@ -1,8 +1,12 @@
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 
+from bicompat import linalg
 from bicompat.linalg import (
     GF,
     QQ,
@@ -11,6 +15,7 @@ from bicompat.linalg import (
     Matrix,
     Scalar,
     Subspace,
+    _kernel_pure,
     kernel,
     kernel_from_rows,
     rref,
@@ -187,26 +192,103 @@ def test_subspace_ops_congruent_with_membership(field):
         assert inter.dim + total.dim == s1.dim + s2.dim
 
 
-@pytest.mark.parametrize("field", [QQ, GF(5)])
+def rand_sparse_system(rng, field, nrows, ncols, width):
+    """Random {col: coeff} rows with exact and rescaled duplicates mixed in."""
+
+    def coeff():
+        if field == QQ:
+            return Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 1, 2, 3, 7]))
+        return rng.randrange(1, field.p) + field.p * rng.randrange(-2, 3)
+
+    rows = []
+    for _ in range(nrows):
+        roll = rng.random()
+        if rows and roll < 0.2:
+            rows.append(dict(rng.choice(rows)))
+        elif rows and roll < 0.4:
+            s = coeff()
+            rows.append({c: v * s for c, v in rng.choice(rows).items()})
+        else:
+            rows.append({rng.randrange(ncols): coeff() for _ in range(rng.randrange(1, width + 1))})
+    return rows
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(32003), GF(2147483659)])
 def test_fast_kernel_matches_pure(field):
     rng = random.Random(31337 + field.characteristic)
-    ncols = 150
-    rows = []
-    for _ in range(260):
-        row = {}
-        for _ in range(3):
-            row[rng.randrange(ncols)] = (
-                rng.randrange(1, 9) if field == QQ else rng.randrange(1, field.p)
-            )
-        rows.append(row)
-    fast = kernel_from_rows(field, ncols, rows)
-    pure = kernel_from_rows(field, ncols, rows, force_pure=True)
-    assert fast == pure
+    for nrows, ncols, width in [(260, 150, 3)] + [(rng.randrange(1, 40), rng.randrange(1, 30), 4) for _ in range(40)]:
+        rows = rand_sparse_system(rng, field, nrows, ncols, width)
+        assert kernel_from_rows(field, ncols, rows) == _kernel_pure(field, ncols, rows)
 
 
 def test_fast_kernel_fraction_rows():
     rows = [{0: Fraction(1, 2), 1: Fraction(1, 3)}, {2: Fraction(2, 7), 3: Fraction(-1, 7)}]
     ker = kernel_from_rows(QQ, 4, rows)
-    pure = kernel_from_rows(QQ, 4, rows, force_pure=True)
-    assert ker == pure
+    assert ker == _kernel_pure(QQ, 4, rows)
     assert ker.dim == 2
+
+
+def count_primes(monkeypatch):
+    used = []
+    inner = linalg._kernel_modp
+
+    def counted(rows, ncols, p):
+        used.append(p)
+        assert len(used) <= 8, "no certificate after 8 primes"
+        return inner(rows, ncols, p)
+
+    monkeypatch.setattr(linalg, "_kernel_modp", counted)
+    return used
+
+
+def test_kernel_crt_lifts_tall_answers(monkeypatch):
+    # The kernel holds entries like 1000003/999983: beyond what one 31-bit
+    # prime can reconstruct, so residues of several primes are combined.
+    rows = [{0: 999983, 1: -1000003, 2: 3}, {1: 65537, 2: -65539, 3: 1}, {0: 1, 3: Fraction(1, 70001)}]
+    used = count_primes(monkeypatch)
+    ker = kernel_from_rows(QQ, 5, rows)
+    assert ker == _kernel_pure(QQ, 5, rows)
+    assert max(max(abs(v.numerator), v.denominator) for row in ker.basis for v in row) > 2**16
+    assert len(used) >= 2
+
+
+@pytest.mark.parametrize(
+    "rows, ncols",
+    [
+        # modulo 2**31 - 1 the rank drops from 2 to 1
+        ([{0: 1, 1: 2**31 - 1}, {0: 1}], 3),
+        # the rank holds, but the kernel (2**31 - 1, 1) reduces to (0, 1):
+        # its pivot moves right
+        ([{0: 1, 1: -(2**31 - 1)}], 2),
+    ],
+)
+def test_kernel_discards_unlucky_prime(monkeypatch, rows, ncols):
+    used = count_primes(monkeypatch)
+    assert kernel_from_rows(QQ, ncols, rows) == _kernel_pure(QQ, ncols, rows)
+    assert used[0] == 2**31 - 1 and len(used) >= 2
+
+
+def test_band_4x4_fits_in_one_gigabyte():
+    # 196608 rows x 4096 unknowns: a dense float64 copy alone is 6.4 GB.
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from bicompat.builders import BandSpec, rectangular_band_algebra\n"
+        "from bicompat.compat import Kind, solve_linear\n"
+        "from bicompat.linalg import QQ\n"
+        "alg = rectangular_band_algebra(BandSpec(4, 4), QQ)\n"
+        "print(solve_linear(Kind.TOTALLY_COMPATIBLE, alg.dot).space.dim)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
+
+
+def test_large_prime_fields():
+    t = time.perf_counter()
+    assert GF(2**61 - 1).p == 2**61 - 1
+    assert time.perf_counter() - t < 1.0
+    with pytest.raises(LinalgError):
+        GF(3215031751)  # 151 * 751 * 28351, a strong pseudoprime to bases 2, 3, 5, 7
+    with pytest.raises(LinalgError):
+        GF(2**127 - 1)  # prime, but beyond the deterministic Miller-Rabin range
