@@ -9,6 +9,10 @@ centralizer, unit sets) are computed by exact linear solves.
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
+from fractions import Fraction
+
 from .linalg import (
     FieldMismatchError,
     LinalgError,
@@ -193,45 +197,98 @@ def multiply(p: Product, a, b):
     return out
 
 
-def _mul_basis_vec(p, i, vec):
-    """b_i * v for a coordinate dict vec {j: val}; returns dict {k: val}."""
-    f = p.field
-    out = {}
-    for j, bv in vec.items():
-        for k, v in p.table(i, j).items():
-            nv = f.add(out.get(k, f.zero), f.mul(bv, v))
-            if nv == f.zero:
-                out.pop(k, None)
-            else:
-                out[k] = nv
-    return out
+# ---------------------------------------------------------------------------
+# Sparse integer contraction of two products.  Every identity the package
+# checks is a signed sum of the two triple expressions below, each bilinear in
+# its pair of products, so positive rescaling of a product keeps every zero.
+# Over Q the tables are cleared of denominators; over F_p they hold residues.
 
 
-def _mul_vec_basis(p, vec, j):
-    f = p.field
-    out = {}
-    for i, av in vec.items():
-        for k, v in p.table(i, j).items():
-            nv = f.add(out.get(k, f.zero), f.mul(av, v))
-            if nv == f.zero:
-                out.pop(k, None)
-            else:
-                out[k] = nv
-    return out
+class _IntTables:
+    """Integer structure constants of a Product, indexed for contraction.
+
+    Entries are s * c for the positive integer `scale` s: the lcm of the
+    denominators over Q, and 1 over F_p, whose residues are integers already.
+    `tail[i]` lists (j*n + k, v) for b_i b_j = ... + v b_k; `out[k]` lists
+    ((i*n + j)*n, v), the same entries grouped by output index.
+    """
+
+    __slots__ = ("scale", "tail", "out")
+
+    def __init__(self, p: Product):
+        n = p.dim
+        entries = [(i, j, k, v) for (i, j), col in p.tables.items() for k, v in col.items()]
+        self.scale = s = math.lcm(*(v.denominator for *_, v in entries))
+        self.tail = [[] for _ in range(n)]
+        self.out = [[] for _ in range(n)]
+        for i, j, k, v in entries:
+            v = v.numerator * (s // v.denominator)
+            self.tail[i].append((j * n + k, v))
+            self.out[k].append(((i * n + j) * n, v))
+
+
+def _outer(acc, p, q, i, n, sign):
+    """acc[(j*n + k)*n + l] += sign * coefficient of b_l in (b_i p b_j) q b_k."""
+    qt = q.tail
+    for jm, v in p.tail[i]:
+        j, m = divmod(jm, n)
+        v *= sign
+        base = j * n * n
+        for kl, w in qt[m]:
+            acc[base + kl] += v * w
+
+
+def _inner(acc, p, q, i, n, sign):
+    """acc[(j*n + k)*n + l] += sign * coefficient of b_l in b_i q (b_j p b_k)."""
+    po = p.out
+    for ml, w in q.tail[i]:
+        m, l = divmod(ml, n)
+        w *= sign
+        for jk, v in po[m]:
+            acc[jk + l] += v * w
+
+
+def _slice(terms, n, i):
+    """The signed sum of (p, q, contraction, sign) terms at first index i."""
+    acc = defaultdict(int)
+    for p, q, contract, sign in terms:
+        contract(acc, p, q, i, n, sign)
+    return acc
+
+
+def _first_defect(terms, n, modulus):
+    """Smallest (i, j, k) where the signed sum of terms is nonzero, or None.
+
+    Over F_p (modulus p) nonzero means nonzero mod p; over Q modulus is 0."""
+    nn = n * n
+    for i in range(n):
+        acc = _slice(terms, n, i)
+        if modulus:
+            bad = [key for key, v in acc.items() if v % modulus]
+        else:
+            bad = [key for key, v in acc.items() if v]
+        if bad:
+            key = min(bad)
+            return (i, key // nn, key // n % n)
+    return None
+
+
+def _slice_vector(terms, n, triple, field, scale):
+    """The field vector (over l) of the terms at basis triple (i, j, k), whose
+    integer tables carry the combined positive scale `scale`."""
+    i, j, k = triple
+    acc = _slice(terms, n, i)
+    base = (j * n + k) * n
+    vals = [acc.get(base + l, 0) for l in range(n)]
+    if field.characteristic:
+        return tuple(v % field.p for v in vals)
+    return tuple(Fraction(v, scale) for v in vals)
 
 
 def associativity_witness(p: Product):
     """First basis triple (i, j, k) where (b_i b_j) b_k != b_i (b_j b_k), or None."""
-    n = p.dim
-    for i in range(n):
-        for j in range(n):
-            left = p.table(i, j)
-            for k in range(n):
-                lhs = _mul_vec_basis(p, left, k)
-                rhs = _mul_basis_vec(p, i, p.table(j, k))
-                if lhs != rhs:
-                    return (i, j, k)
-    return None
+    t = _IntTables(p)
+    return _first_defect([(t, t, _outer, 1), (t, t, _inner, -1)], p.dim, p.field.characteristic)
 
 
 def is_associative(p: Product):
@@ -577,7 +634,7 @@ def _parse_triples(dim, field, raw, what):
         if not (isinstance(entry, list) and len(entry) == 4):
             raise FileFormatError(f"bad {what} entry {entry!r}")
         i, j, k, c = entry
-        if not all(isinstance(x, int) for x in (i, j, k)):
+        if not all(type(x) is int for x in (i, j, k)):
             raise FileFormatError(f"non-integer index in {what} entry {entry!r}")
         if not all(0 <= x < dim for x in (i, j, k)):
             raise FileFormatError(f"index out of range in {what} entry {entry!r}")
@@ -594,7 +651,7 @@ def _parse_header(obj, what):
     if not isinstance(obj, dict):
         raise FileFormatError(f"{what} document must be a JSON object")
     dim = obj.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise FileFormatError(f"{what} document needs a positive integer 'dim'")
     try:
         field = field_from_json(obj.get("field"))

@@ -26,8 +26,11 @@ from .algebra import (
     AlgebraError,
     NonAssociativeError,
     Product,
-    _mul_basis_vec,
-    _mul_vec_basis,
+    _first_defect,
+    _inner,
+    _IntTables,
+    _outer,
+    _slice_vector,
     associativity_witness,
     require_associative,
 )
@@ -64,6 +67,11 @@ IDENTITIES = {
     Kind.INTERCHANGEABLE: (((E1,), (E2,)), ((E3,), (E4,))),
     Kind.TOTALLY_COMPATIBLE: (((E1,), (E2,)), ((E2,), (E4,)), ((E4,), (E3,))),
 }
+
+# Each expression as a contraction of a (first, second) pair drawn from
+# (star, dot): E1 = outer(star, dot), E2 = outer(dot, star),
+# E3 = inner(dot, star), E4 = inner(star, dot).
+_EXPRESSIONS = {E1: (_outer, 0, 1), E2: (_outer, 1, 0), E3: (_inner, 1, 0), E4: (_inner, 0, 1)}
 
 
 class InternalContradictionError(AlgebraError):
@@ -112,57 +120,30 @@ def _check_pair(star, dot):
         raise ShapeMismatchError("product dimensions differ")
 
 
-def _eval_expr(expr, star, dot, i, j, k):
-    if expr == E1:
-        return _mul_vec_basis(dot, star.table(i, j), k)
-    if expr == E2:
-        return _mul_vec_basis(star, dot.table(i, j), k)
-    if expr == E3:
-        return _mul_basis_vec(star, i, dot.table(j, k))
-    if expr == E4:
-        return _mul_basis_vec(dot, i, star.table(j, k))
-    raise AssertionError(expr)
+def _terms(exprs, star, dot, sign):
+    """Signed contraction terms of a sum of expressions, on integer tables."""
+    pair = (star, dot)
+    return [(pair[a], pair[b], contract, sign) for contract, a, b in map(_EXPRESSIONS.get, exprs)]
 
 
-def _eval_side(exprs, star, dot, i, j, k):
-    f = star.field
-    total = {}
-    for expr in exprs:
-        for key, v in _eval_expr(expr, star, dot, i, j, k).items():
-            nv = f.add(total.get(key, f.zero), v)
-            if nv == f.zero:
-                total.pop(key, None)
-            else:
-                total[key] = nv
-    return total
-
-
-def _dense(vec, n, field):
-    out = [field.zero] * n
-    for k, v in vec.items():
-        out[k] = v
-    return tuple(out)
+def _identity_defect(identity, star, dot, n, modulus):
+    """First basis triple where lhs - rhs of the identity is nonzero, or None."""
+    lhs, rhs = identity
+    return _first_defect(_terms(lhs, star, dot, 1) + _terms(rhs, star, dot, -1), n, modulus)
 
 
 def check(kind: Kind, star: Product, dot: Product) -> CompatReport:
     """Evaluate a notion's identities on all basis triples; star may be anything."""
     _check_pair(star, dot)
     require_associative(dot)
-    n = dot.dim
-    for ident_idx, (lhs_exprs, rhs_exprs) in enumerate(IDENTITIES[kind]):
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    lhs = _eval_side(lhs_exprs, star, dot, i, j, k)
-                    rhs = _eval_side(rhs_exprs, star, dot, i, j, k)
-                    if lhs != rhs:
-                        w = Witness(
-                            ident_idx,
-                            (i, j, k),
-                            _dense(lhs, n, dot.field),
-                            _dense(rhs, n, dot.field),
-                        )
-                        return CompatReport(kind, False, w)
+    n, f = dot.dim, dot.field
+    s, d = _IntTables(star), _IntTables(dot)
+    for ident_idx, identity in enumerate(IDENTITIES[kind]):
+        triple = _identity_defect(identity, s, d, n, f.characteristic)
+        if triple is not None:
+            scale = s.scale * d.scale
+            lhs, rhs = (_slice_vector(_terms(side, s, d, 1), n, triple, f, scale) for side in identity)
+            return CompatReport(kind, False, Witness(ident_idx, triple, lhs, rhs))
     return CompatReport(kind, True, None)
 
 
@@ -281,7 +262,7 @@ def solve_linear(kind: Kind, dot: Product) -> ProductSpace:
 
 @dataclass(frozen=True)
 class AssociativityCertificate:
-    status: str  # "pass" | "fail" | "undecided"
+    status: str  # "pass" | "fail"
     member: tuple | None  # coordinates in the space basis
     witness: tuple | None  # basis triple where the member fails
 
@@ -290,73 +271,33 @@ class AssociativityCertificate:
         return self.status == "pass"
 
 
-DEFAULT_ENUM_CAP = 2**20
-
-
-def _cross_defect_witness(p, q, n):
-    """First (i,j,k) where (b_i p b_j) q b_k + (b_i q b_j) p b_k differs from
-    b_i q (b_j p b_k) + b_i p (b_j q b_k); None when the polarized form is zero."""
-    f = p.field
-    for i in range(n):
-        for j in range(n):
-            pw = p.table(i, j)
-            qw = q.table(i, j)
-            for k in range(n):
-                lhs = _mul_vec_basis(q, pw, k)
-                for key, v in _mul_vec_basis(p, qw, k).items():
-                    nv = f.add(lhs.get(key, f.zero), v)
-                    if nv == f.zero:
-                        lhs.pop(key, None)
-                    else:
-                        lhs[key] = nv
-                rhs = _mul_basis_vec(q, i, p.table(j, k))
-                for key, v in _mul_basis_vec(p, i, q.table(j, k)).items():
-                    nv = f.add(rhs.get(key, f.zero), v)
-                    if nv == f.zero:
-                        rhs.pop(key, None)
-                    else:
-                        rhs[key] = nv
-                if lhs != rhs:
-                    return (i, j, k)
-    return None
-
-
-def all_members_associative(ps: ProductSpace, cap=DEFAULT_ENUM_CAP) -> AssociativityCertificate:
+def all_members_associative(ps: ProductSpace) -> AssociativityCertificate:
     """Decide whether every member of the solution space is associative.
 
-    Char != 2: the associativity defect of a generic member is a quadratic
-    form in the coordinates; it vanishes identically iff all diagonal defects
-    and all polarized cross terms vanish.  Over F_2 the subspace is
-    enumerated exhaustively, up to `cap` members.
+    The associativity defect of sum_a x_a P_a is sum_a x_a^2 D_a plus
+    sum_{a<b} x_a x_b C_ab, with D_a the defect of P_a and C_ab the polarized
+    cross term.  Over F_q with q >= 3 each variable has degree below q, and
+    over F_2 (x^2 = x on points) the defect is multilinear; either way it is
+    zero at every point iff every D_a and every C_ab is zero.  A failing
+    member is e_a or e_a + e_b, whose defect is D_a or C_ab.
     """
     f = ps.base.field
     n = ps.base.dim
     basis = ps.basis_products()
     d = len(basis)
     zero, one = f.zero, f.one
-    if f.characteristic == 2:
-        if 2**d > cap:
-            return AssociativityCertificate("undecided", None, None)
-        for mask in range(2**d):
-            member = Product.zero(n, f)
-            coords = []
-            for a in range(d):
-                bit = (mask >> a) & 1
-                coords.append(one if bit else zero)
-                if bit:
-                    member = member.add(basis[a])
-            w = associativity_witness(member)
-            if w is not None:
-                return AssociativityCertificate("fail", tuple(coords), w)
-        return AssociativityCertificate("pass", None, None)
     for a in range(d):
         w = associativity_witness(basis[a])
         if w is not None:
             coords = tuple(one if x == a else zero for x in range(d))
             return AssociativityCertificate("fail", coords, w)
+    tables = [_IntTables(p) for p in basis]
     for a in range(d):
+        p = tables[a]
         for b in range(a + 1, d):
-            w = _cross_defect_witness(basis[a], basis[b], n)
+            q = tables[b]
+            cross = [(p, q, _outer, 1), (q, p, _outer, 1), (q, p, _inner, -1), (p, q, _inner, -1)]
+            w = _first_defect(cross, n, f.characteristic)
             if w is not None:
                 coords = tuple(one if x in (a, b) else zero for x in range(d))
                 return AssociativityCertificate("fail", coords, w)
@@ -379,15 +320,6 @@ class EquivalenceAudit:
         }
 
 
-def _atom_holds(lhs_expr, rhs_expr, p1, p2, n):
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if _eval_side(lhs_expr, p1, p2, i, j, k) != _eval_side(rhs_expr, p1, p2, i, j, k):
-                    return False
-    return True
-
-
 def remark13_audit(p1: Product, p2: Product) -> EquivalenceAudit:
     """Check that the four (five, char != 2) characterizations agree on a pair.
 
@@ -397,7 +329,8 @@ def remark13_audit(p1: Product, p2: Product) -> EquivalenceAudit:
     _check_pair(p1, p2)
     require_associative(p2)
     require_associative(p1, "first product")
-    n = p1.dim
+    n, modulus = p1.dim, p1.field.characteristic
+    t1, t2 = _IntTables(p1), _IntTables(p2)
     # Expressions of the pair (p1, p2): E1..E4 with star=p1, dot=p2.
     atom_pairs = {
         "eq_13": ((E1,), (E3,)),
@@ -409,7 +342,8 @@ def remark13_audit(p1: Product, p2: Product) -> EquivalenceAudit:
         "compatible": ((E1, E2), (E3, E4)),
     }
     atoms = {
-        name: _atom_holds(lhs, rhs, p1, p2, n) for name, (lhs, rhs) in atom_pairs.items()
+        name: _identity_defect(identity, t1, t2, n, modulus) is None
+        for name, identity in atom_pairs.items()
     }
     id_matching = atoms["eq_13"] and atoms["eq_24"]
     swap_matching = atoms["eq_14"] and atoms["eq_23"]

@@ -32,7 +32,7 @@ class ShapeMismatchError(LinalgError):
     """Raised when operand dimensions do not line up."""
 
 
-_RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RAT_RE = re.compile(r"^[+-]?\d+(?:/0*[1-9]\d*)?$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
 

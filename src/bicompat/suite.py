@@ -8,7 +8,6 @@ them on several workers and still emits results in fixed suite order.
 
 from __future__ import annotations
 
-import os
 import random
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
@@ -43,7 +42,6 @@ from .builders import (
     zero_algebra,
 )
 from .compat import (
-    DEFAULT_ENUM_CAP,
     Kind,
     all_members_associative,
     check,
@@ -382,14 +380,13 @@ def _entry_lemma_36():
 
 
 def _entry_prop_38():
-    cap = int(os.environ.get("BICOMPAT_ENUM_CAP", DEFAULT_ENUM_CAP))
     for spec, alg in _bands():
         ps = cached_solve(Kind.SWAP_MATCHING, alg.dot)
         ann_dim = (spec.rows - 1) * (spec.cols - 1)
         want = 1 + spec.rows * spec.cols * ann_dim
         if ps.dim != want:
             return False, f"band {spec.rows}x{spec.cols}: swap dim {ps.dim} != {want}"
-        cert = all_members_associative(ps, cap)
+        cert = all_members_associative(ps)
         # regression: every member of the swap space is associative
         if cert.status != "pass":
             return False, f"band {spec.rows}x{spec.cols}: member verdict {cert.status}"

@@ -6,6 +6,7 @@ through (visible with `pytest -s` or in failure output).
 
 import json
 import random
+from pathlib import Path
 
 from bicompat.algebra import (
     Endomorphism,
@@ -264,6 +265,10 @@ def test_c11_free_algebra_suite():
     _report(11, "star conditions, truncated verification, generator solve and shift products")
 
 
+# Recorded `paper --machine` output; the benchmark checks answers against it too.
+GOLDEN_PAPER = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "paper_machine.jsonl"
+
+
 def test_c12_determinism(capsys):
     outs = []
     for argv in (
@@ -277,6 +282,7 @@ def test_c12_determinism(capsys):
         assert code == 0
         outs.append(captured.out.encode("utf-8"))
     assert outs[0] == outs[1] == outs[2] == outs[3]
+    assert outs[0] == GOLDEN_PAPER.read_bytes()
     lines = outs[0].decode().strip().split("\n")
     assert all(json.loads(line)["ok"] for line in lines)
     _report(12, f"verification suite byte-identical across runs and worker counts ({len(lines)} entries)")

@@ -106,6 +106,23 @@ def test_check_malformed_file_exit_two(tmp_path, example_files, capsys):
     assert code == 2 and "input error" in err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"dim": 1, "field": "Q", "table": [[0, 0, 0, "1/0"]]},
+        {"dim": True, "field": "Q", "table": [[0, 0, 0, "1"]]},
+        {"dim": 2, "field": "Q", "table": [[True, 0, 0, "1"]]},
+    ],
+    ids=["zero-denominator", "bool-dim", "bool-index"],
+)
+def test_invariants_malformed_algebra_exit_two(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "invariants", str(path))
+    assert code == 2 and "input error" in err
+    assert "Traceback" not in err
+
+
 def test_check_unknown_kind_exit_two(example_files, capsys):
     code, _, err = run_cli(
         capsys, "check", example_files["algebra"], example_files["star"], "--kinds", "sideways"

@@ -1,8 +1,17 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from bicompat.algebra import NonAssociativeError, Product, basis_vector, is_associative
+from bicompat.algebra import (
+    NonAssociativeError,
+    Product,
+    associativity_witness,
+    basis_vector,
+    is_associative,
+    multiply,
+)
 from bicompat.builders import (
     BandSpec,
     example_3dim,
@@ -15,8 +24,16 @@ from bicompat.builders import (
     zero_algebra,
 )
 from bicompat.compat import (
+    E1,
+    E2,
+    E3,
+    E4,
+    IDENTITIES,
+    AssociativityCertificate,
+    CompatReport,
     InternalContradictionError,
     Kind,
+    Witness,
     all_members_associative,
     check,
     check_compatible_dual,
@@ -25,7 +42,7 @@ from bicompat.compat import (
     sum_product,
 )
 from bicompat.linalg import GF, QQ
-from bicompat.suite import rand_subspace_member
+from bicompat.suite import builder_zoo, rand_subspace_member
 
 
 def test_sum_product():
@@ -206,11 +223,24 @@ def test_all_members_associative_finds_failure():
 
 def test_all_members_associative_char2_enumeration():
     alg = rectangular_band_algebra(BandSpec(2, 2), GF(2))
-    ps = solve_linear(Kind.SWAP_MATCHING, alg.dot)
-    cert = all_members_associative(ps)
-    assert cert.status == "pass"
-    tiny = all_members_associative(ps, cap=2)
-    assert tiny.status == "undecided"
+    assert all_members_associative(solve_linear(Kind.SWAP_MATCHING, alg.dot)).status == "pass"
+    # the criterion against brute-force enumeration on every small F_2 space
+    compared = 0
+    for alg in builder_zoo(GF(2)):
+        for kind in Kind:
+            ps = solve_linear(kind, alg.dot)
+            if ps.dim > 12:
+                continue
+            cert = all_members_associative(ps)
+            assert cert.all_associative == _enumerated_all_associative(ps)
+            if not cert.all_associative:
+                member = Product.zero(alg.dim, GF(2))
+                for coeff, prod in zip(cert.member, ps.basis_products()):
+                    if coeff:
+                        member = member.add(prod)
+                assert _reference_associativity_witness(member) == cert.witness
+            compared += 1
+    assert compared >= 20
 
 
 def test_remark13_audit_consistency():
@@ -234,3 +264,133 @@ def test_remark13_requires_associative():
     bad = Product.from_triples(2, QQ, [(0, 0, 1, 1), (1, 0, 0, 1)])
     with pytest.raises(NonAssociativeError):
         remark13_audit(bad, Product.zero(2, QQ))
+
+
+# -- test-only references built on the public `multiply` ---------------------
+
+
+def _expressions(star, dot, i, j, k):
+    f, n = dot.field, dot.dim
+    bi, bj, bk = (basis_vector(f, n, x) for x in (i, j, k))
+    return {
+        E1: multiply(dot, multiply(star, bi, bj), bk),
+        E2: multiply(star, multiply(dot, bi, bj), bk),
+        E3: multiply(star, bi, multiply(dot, bj, bk)),
+        E4: multiply(dot, bi, multiply(star, bj, bk)),
+    }
+
+
+def _side(exprs, values, field):
+    out = [field.zero] * len(values[E1])
+    for e in exprs:
+        out = [field.add(a, b) for a, b in zip(out, values[e])]
+    return tuple(out)
+
+
+def _reference_first_failure(identities, star, dot):
+    """First failing (identity, i, j, k) in that order, as a Witness, or None."""
+    n = dot.dim
+    memo = {}
+    for idx, (lhs, rhs) in enumerate(identities):
+        for i, j, k in itertools.product(range(n), repeat=3):
+            if (i, j, k) not in memo:
+                memo[i, j, k] = _expressions(star, dot, i, j, k)
+            values = memo[i, j, k]
+            left, right = _side(lhs, values, dot.field), _side(rhs, values, dot.field)
+            if left != right:
+                return Witness(idx, (i, j, k), left, right)
+    return None
+
+
+def _reference_check(kind, star, dot):
+    w = _reference_first_failure(IDENTITIES[kind], star, dot)
+    return CompatReport(kind, w is None, w)
+
+
+def _reference_associativity_witness(p):
+    w = _reference_first_failure((((E1,), (E4,)),), p, p)
+    return None if w is None else w.triple
+
+
+def _reference_certificate(ps):
+    """Diagonal defects first, then the cross term of each pair a < b, which is
+    the defect of P_a + P_b once every diagonal defect is zero."""
+    f = ps.base.field
+    basis = ps.basis_products()
+    d = len(basis)
+    for a in range(d):
+        w = _reference_associativity_witness(basis[a])
+        if w is not None:
+            return AssociativityCertificate("fail", tuple(f.one if x == a else f.zero for x in range(d)), w)
+    for a, b in itertools.combinations(range(d), 2):
+        w = _reference_associativity_witness(basis[a].add(basis[b]))
+        if w is not None:
+            coords = tuple(f.one if x in (a, b) else f.zero for x in range(d))
+            return AssociativityCertificate("fail", coords, w)
+    return AssociativityCertificate("pass", None, None)
+
+
+def _enumerated_all_associative(ps):
+    """Brute force over all 2^d members of a space over F_2."""
+    basis = ps.basis_products()
+    for mask in range(2 ** len(basis)):
+        member = Product.zero(ps.base.dim, ps.base.field)
+        for a, prod in enumerate(basis):
+            if mask >> a & 1:
+                member = member.add(prod)
+        if _reference_associativity_witness(member) is not None:
+            return False
+    return True
+
+
+def _random_product(rng, n, field, density):
+    triples = []
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if rng.random() < density:
+            if field == QQ:
+                v = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+            else:
+                v = rng.randrange(field.p)
+            triples.append((i, j, k, v))
+    return Product.from_triples(n, field, triples)
+
+
+DIFF_FIELDS = [QQ, GF(2), GF(5), GF(2**61 - 1)]
+
+AUDIT_ATOMS = {
+    "eq_13": ((E1,), (E3,)),
+    "eq_24": ((E2,), (E4,)),
+    "eq_14": ((E1,), (E4,)),
+    "eq_23": ((E2,), (E3,)),
+    "eq_12": ((E1,), (E2,)),
+    "eq_34": ((E3,), (E4,)),
+    "compatible": ((E1, E2), (E3, E4)),
+}
+
+
+@pytest.mark.parametrize("field", DIFF_FIELDS, ids=str)
+def test_evaluator_matches_reference(field):
+    rng = random.Random(41)
+    for alg in (
+        rectangular_band_algebra(BandSpec(2, 2), field),
+        matrix_algebra(2, field),
+        example_3dim(field)[0],
+        zero_algebra(3, field),
+    ):
+        dot, n = alg.dot, alg.dim
+        stars = [_random_product(rng, n, field, density) for density in (0.06, 0.3, 0.9)]
+        scales = (3, Fraction(-2, 7)) if field == QQ else (3, field.p - 1)
+        stars += [dot.scale(c) for c in scales]
+        stars += [s for s in example_3dim(field)[1:] if n == 3]
+        for star in stars:
+            for kind in Kind:
+                assert check(kind, star, dot) == _reference_check(kind, star, dot)
+            assert associativity_witness(star) == _reference_associativity_witness(star)
+            if is_associative(star):
+                atoms = remark13_audit(star, dot).atoms
+                for name, identity in AUDIT_ATOMS.items():
+                    assert atoms[name] == (_reference_first_failure([identity], star, dot) is None)
+        for kind in Kind:
+            # includes the failing compatible space of the 3-dim example
+            ps = solve_linear(kind, dot)
+            assert all_members_associative(ps) == _reference_certificate(ps)
