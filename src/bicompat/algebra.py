@@ -338,19 +338,10 @@ def is_idempotent_algebra(p: Product):
 
 def center(p: Product) -> Subspace:
     """{x : x b_i = b_i x for every basis element}."""
-    f = p.field
     n = p.dim
-    rows = []
-    for i in range(n):
-        for l in range(n):
-            row = {}
-            for u in range(n):
-                c = f.sub(p.coefficient(u, i, l), p.coefficient(i, u, l))
-                if c != f.zero:
-                    row[u] = c
-            if row:
-                rows.append(row)
-    return kernel_from_rows(f, n, rows)
+    c = p.coefficient
+    rows = [{u: c(u, i, l) - c(i, u, l) for u in range(n)} for i in range(n) for l in range(n)]
+    return kernel_from_rows(p.field, n, rows)
 
 
 def centralizer(p: Product, x) -> Subspace:
@@ -360,36 +351,24 @@ def centralizer(p: Product, x) -> Subspace:
     x = [f.coerce(v) for v in x]
     if len(x) != n:
         raise ShapeMismatchError("vector length != product dimension")
-    rows = []
-    for l in range(n):
-        row = {}
-        for u in range(n):
-            acc = f.zero
-            for j, xv in enumerate(x):
-                if xv == f.zero:
-                    continue
-                acc = f.add(acc, f.mul(xv, f.sub(p.coefficient(u, j, l), p.coefficient(j, u, l))))
-            if acc != f.zero:
-                row[u] = acc
-        if row:
-            rows.append(row)
+    c = p.coefficient
+    rows = [
+        {u: sum(xv * (c(u, j, l) - c(j, u, l)) for j, xv in enumerate(x) if xv) for u in range(n)}
+        for l in range(n)
+    ]
     return kernel_from_rows(f, n, rows)
 
 
 def annihilator(p: Product) -> Subspace:
     """{a : a b_i = b_i a = 0 for every basis element}."""
-    f = p.field
     n = p.dim
+    c = p.coefficient
     rows = []
     for i in range(n):
         for l in range(n):
-            left = {u: p.coefficient(u, i, l) for u in range(n) if p.coefficient(u, i, l) != f.zero}
-            if left:
-                rows.append(left)
-            right = {u: p.coefficient(i, u, l) for u in range(n) if p.coefficient(i, u, l) != f.zero}
-            if right:
-                rows.append(right)
-    return kernel_from_rows(f, n, rows)
+            rows.append({u: c(u, i, l) for u in range(n)})
+            rows.append({u: c(i, u, l) for u in range(n)})
+    return kernel_from_rows(p.field, n, rows)
 
 
 def centroid(p: Product) -> Subspace:
@@ -398,43 +377,19 @@ def centroid(p: Product) -> Subspace:
     Solutions live in the n^2-dimensional endomorphism coordinate space,
     row-major: slot r*n + c holds the coefficient of b_c in phi(b_r).
     """
-    f = p.field
     n = p.dim
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            prod_col = p.table(i, j)
-            for l in range(n):
-                row_a = {}
-                row_b = {}
-                for m, v in prod_col.items():
-                    row_a[m * n + l] = f.add(row_a.get(m * n + l, f.zero), v)
-                    row_b[m * n + l] = f.add(row_b.get(m * n + l, f.zero), v)
-                # e_i . phi(e_j): subtract c[i][m][l] at slot (j, m)
-                for m in range(n):
-                    c = p.coefficient(i, m, l)
-                    if c != f.zero:
-                        key = j * n + m
-                        nv = f.sub(row_a.get(key, f.zero), c)
-                        if nv == f.zero:
-                            row_a.pop(key, None)
-                        else:
-                            row_a[key] = nv
-                # phi(e_i) . e_j: subtract c[m][j][l] at slot (i, m)
-                for m in range(n):
-                    c = p.coefficient(m, j, l)
-                    if c != f.zero:
-                        key = i * n + m
-                        nv = f.sub(row_b.get(key, f.zero), c)
-                        if nv == f.zero:
-                            row_b.pop(key, None)
-                        else:
-                            row_b[key] = nv
-                if row_a:
-                    rows.append(row_a)
-                if row_b:
-                    rows.append(row_b)
-    return kernel_from_rows(f, n * n, rows)
+    # rows[0, i, j, l] is phi(b_i b_j) - b_i phi(b_j) at b_l, and
+    # rows[1, i, j, l] is phi(b_i b_j) - phi(b_i) b_j at b_l.
+    rows = defaultdict(lambda: defaultdict(int))
+    for (a, b), col in p.tables.items():
+        for k, v in col.items():
+            # b_a b_b = ... + v b_k enters phi(b_a b_b), b_a phi(b_x) and phi(b_x) b_b
+            for x in range(n):
+                rows[0, a, b, x][k * n + x] += v
+                rows[1, a, b, x][k * n + x] += v
+                rows[0, a, x, k][x * n + b] -= v
+                rows[1, x, b, k][x * n + a] -= v
+    return kernel_from_rows(p.field, n * n, list(rows.values()))
 
 
 class Endomorphism:
@@ -607,6 +562,11 @@ def matrix_inverse(g: Matrix) -> Matrix:
 #    "table": [[i, j, k, "coeff"], ...]}
 # Product documents use the same layout with the triples under "product"
 # (labels optional).  Indices are 0-based; omitted triples mean zero.
+# A document's dim is at most MAX_DIM: a tiny file must not make a command
+# allocate without bound, and `invariants` grows as dim^4 (its centroid has
+# dim^2 unknowns).
+
+MAX_DIM = 32
 
 
 def algebra_to_json(alg: Algebra):
@@ -653,6 +613,8 @@ def _parse_header(obj, what):
     dim = obj.get("dim")
     if type(dim) is not int or dim < 1:
         raise FileFormatError(f"{what} document needs a positive integer 'dim'")
+    if dim > MAX_DIM:
+        raise FileFormatError(f"{what} dim {dim} exceeds the document limit of {MAX_DIM}")
     try:
         field = field_from_json(obj.get("field"))
     except LinalgError as exc:

@@ -20,6 +20,7 @@ linear space of coefficient tensors satisfying a notion against `dot`.
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .algebra import (
@@ -36,6 +37,7 @@ from .algebra import (
 )
 from .linalg import (
     FieldMismatchError,
+    LinalgError,
     ShapeMismatchError,
     Subspace,
     kernel_from_rows,
@@ -197,67 +199,62 @@ class ProductSpace:
         }
 
 
-def _flat(n, i, j, k):
-    return (i * n + j) * n + k
+# Above this many unknowns solve_linear refuses the system: n = 16 (the 4x4
+# band) is the largest that the tests, the suite and the benchmark solve,
+# and a full solution space is held as a dense n^3 x n^3 basis.
+MAX_UNKNOWNS = 4096
+
+
+def _add_expression(rows, expr, t, i, n, sign):
+    """rows[(j*n + k)*n + l][col] += sign * coefficient of unknown col in expr
+    at basis triple (i, j, k) and output b_l, on the integer tables t of dot.
+
+    The unknown X is the first factor of E1 and E4, the second of E2 and E3.
+    """
+    nn = n * n
+    if expr == E1:  # sum_m X[i][j][m] dot[m][k][l]
+        for j in range(n):
+            for m in range(n):
+                col = (i * n + j) * n + m
+                for kl, v in t.tail[m]:
+                    rows[j * nn + kl][col] += sign * v
+    elif expr == E2:  # sum_m dot[i][j][m] X[m][k][l]
+        for jm, v in t.tail[i]:
+            j, m = divmod(jm, n)
+            for kl in range(nn):
+                rows[j * nn + kl][m * nn + kl] += sign * v
+    elif expr == E3:  # sum_m dot[j][k][m] X[i][m][l]
+        for m in range(n):
+            for jk, v in t.out[m]:
+                for l in range(n):
+                    rows[jk + l][(i * n + m) * n + l] += sign * v
+    else:  # E4: sum_m X[j][k][m] dot[i][m][l]
+        for ml, v in t.tail[i]:
+            m, l = divmod(ml, n)
+            for jk in range(0, nn * n, n):
+                rows[jk + l][jk + m] += sign * v
 
 
 def solve_linear(kind: Kind, dot: Product) -> ProductSpace:
     """The full solution space of the notion's identities, as unknown tensor X.
 
-    Row assembly is identity-major, then lexicographic in (i, j, k, l); no
-    associativity is imposed on members.
+    No associativity is imposed on members.  Raises LinalgError when X has
+    more than MAX_UNKNOWNS coordinates.
     """
-    require_associative(dot)
-    f = dot.field
     n = dot.dim
+    if n**3 > MAX_UNKNOWNS:
+        raise LinalgError(f"{n}^3 = {n**3} unknowns exceed the solver budget of {MAX_UNKNOWNS}")
+    require_associative(dot)
+    t = _IntTables(dot)
     rows = []
-
-    def add_expr(row_by_l, expr, sign, i, j, k):
-        if expr == E1:
-            # sum_m X[i][j][m] dot[m][k][l]
-            for m in range(n):
-                for l, dv in dot.table(m, k).items():
-                    _acc(row_by_l, l, _flat(n, i, j, m), dv if sign else f.neg(dv))
-        elif expr == E2:
-            # sum_m dot[i][j][m] X[m][k][l]
-            for m, dv in dot.table(i, j).items():
-                val = dv if sign else f.neg(dv)
-                for l in range(n):
-                    _acc(row_by_l, l, _flat(n, m, k, l), val)
-        elif expr == E3:
-            # sum_m dot[j][k][m] X[i][m][l]
-            for m, dv in dot.table(j, k).items():
-                val = dv if sign else f.neg(dv)
-                for l in range(n):
-                    _acc(row_by_l, l, _flat(n, i, m, l), val)
-        elif expr == E4:
-            # sum_m X[j][k][m] dot[i][m][l]
-            for m in range(n):
-                for l, dv in dot.table(i, m).items():
-                    _acc(row_by_l, l, _flat(n, j, k, m), dv if sign else f.neg(dv))
-
-    def _acc(row_by_l, l, col, val):
-        row = row_by_l.setdefault(l, {})
-        nv = f.add(row.get(col, f.zero), val)
-        if nv == f.zero:
-            row.pop(col, None)
-        else:
-            row[col] = nv
-
-    for lhs_exprs, rhs_exprs in IDENTITIES[kind]:
+    for lhs, rhs in IDENTITIES[kind]:
         for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    row_by_l = {}
-                    for expr in lhs_exprs:
-                        add_expr(row_by_l, expr, True, i, j, k)
-                    for expr in rhs_exprs:
-                        add_expr(row_by_l, expr, False, i, j, k)
-                    for l in sorted(row_by_l):
-                        if row_by_l[l]:
-                            rows.append(row_by_l[l])
-    space = kernel_from_rows(f, n**3, rows)
-    return ProductSpace(dot, kind, space)
+            by_slot = defaultdict(lambda: defaultdict(int))
+            for exprs, sign in ((lhs, 1), (rhs, -1)):
+                for expr in exprs:
+                    _add_expression(by_slot, expr, t, i, n, sign)
+            rows += by_slot.values()
+    return ProductSpace(dot, kind, kernel_from_rows(dot.field, n**3, rows))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ quotient by words of degree above the cap.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .algebra import AlgebraError
@@ -677,7 +678,6 @@ def truncated_centroid_dim(kind: str, alphabet, degree: int, field=QQ) -> int:
         raise FreeAlgebraError(f"unknown centroid kind {kind!r}")
     index = {w: i for i, w in enumerate(carrier)}
     size = len(carrier)
-    f = field
     rows = []
     for w1 in carrier:
         for w2 in carrier:
@@ -685,21 +685,13 @@ def truncated_centroid_dim(kind: str, alphabet, degree: int, field=QQ) -> int:
                 continue
             w = combine(w1, w2)
             for t in carrier:
-                # phi(w)[t] - (w1 . phi(w2))[t] = 0
-                row = {index[w] * size + index[t]: f.one}
-                s = strip_prefix(t, w1)
-                if s is not None and deg(s) <= degree:
-                    col = index[w2] * size + index[s]
-                    row[col] = f.sub(row.get(col, f.zero), f.one)
-                rows.append({c: v for c, v in row.items() if v != f.zero})
-                # phi(w)[t] - (phi(w1) . w2)[t] = 0
-                row = {index[w] * size + index[t]: f.one}
-                s = strip_suffix(t, w2)
-                if s is not None and deg(s) <= degree:
-                    col = index[w1] * size + index[s]
-                    row[col] = f.sub(row.get(col, f.zero), f.one)
-                rows.append({c: v for c, v in row.items() if v != f.zero})
-    return kernel_from_rows(f, size * size, rows).dim
+                # phi(w)[t] - (w1 . phi(w2))[t] = 0 and phi(w)[t] - (phi(w1) . w2)[t] = 0
+                for s, other in ((strip_prefix(t, w1), w2), (strip_suffix(t, w2), w1)):
+                    row = Counter({index[w] * size + index[t]: 1})
+                    if s is not None and deg(s) <= degree:
+                        row[index[other] * size + index[s]] -= 1
+                    rows.append(row)
+    return kernel_from_rows(field, size * size, rows).dim
 
 
 def generator_chain_space(alphabet, degree: int, field=QQ) -> Subspace:
@@ -714,7 +706,6 @@ def generator_chain_space(alphabet, degree: int, field=QQ) -> Subspace:
     pairs = [(x, y) for x in alphabet for y in alphabet]
     pindex = {p: i for i, p in enumerate(pairs)}
     nwords = len(words)
-    f = field
 
     def col(pair, w):
         return pindex[pair] * nwords + windex[w]
@@ -726,18 +717,15 @@ def generator_chain_space(alphabet, degree: int, field=QQ) -> Subspace:
         for b in alphabet:
             for c in alphabet:
                 for t in coords:
-                    row = {}
+                    row = Counter()
                     # (a*b).c contributes S_ab[w] at t = w.c
                     if t.endswith(c) and len(t) > 1 and (t[:-1] in windex):
-                        row[col((a, b), t[:-1])] = f.one
+                        row[col((a, b), t[:-1])] += 1
                     # a.(b*c) contributes S_bc[w] at t = a.w
                     if t.startswith(a) and len(t) > 1 and (t[1:] in windex):
-                        key = col((b, c), t[1:])
-                        row[key] = f.sub(row.get(key, f.zero), f.one)
-                    row = {k: v for k, v in row.items() if v != f.zero}
-                    if row:
-                        rows.append(row)
-    return kernel_from_rows(f, len(pairs) * nwords, rows)
+                        row[col((b, c), t[1:])] -= 1
+                    rows.append(row)
+    return kernel_from_rows(field, len(pairs) * nwords, rows)
 
 
 def concatenation_coords(alphabet, degree: int, field=QQ):

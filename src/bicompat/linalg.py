@@ -555,13 +555,7 @@ class AffineSubspace:
 
 def kernel(m: Matrix) -> Subspace:
     """The nullspace {v : m v = 0} as a canonical Subspace."""
-    sparse = []
-    zero = m.field.zero
-    for row in m.rows:
-        d = {j: v for j, v in enumerate(row) if v != zero}
-        if d:
-            sparse.append(d)
-    return kernel_from_rows(m.field, m.ncols, sparse)
+    return kernel_from_rows(m.field, m.ncols, [dict(enumerate(row)) for row in m.rows])
 
 
 def solve(m: Matrix, b):
@@ -596,9 +590,12 @@ def solve(m: Matrix, b):
 
 
 def kernel_from_rows(field, ncols, sparse_rows):
-    """Kernel of the system whose rows are {col: coeff} dicts.
+    """Kernel of the system whose rows are {col: value} mappings, as a canonical Subspace.
 
-    The rows may arrive in any order; the returned Subspace is canonical.
+    A value is a Python int (exact in both characteristics, reduced mod p
+    over F_p), a Fraction over Q, or anything `field.coerce` accepts.  Zero
+    entries, empty rows, duplicate rows and rows at any nonzero scale are
+    all allowed: rows are normalized here, so builders hand them over raw.
     """
     rows = _distinct_rows(field, sparse_rows)
     if not rows or ncols == 0:
@@ -635,15 +632,15 @@ def _distinct_rows(field, sparse_rows):
     positive.  Over F_p it is made monic.
     """
     p = field.characteristic
-    exact = int if p else Fraction
+    exact = (int,) if p else (int, Fraction)
     seen = set()
     for rd in sparse_rows:
         items = []
         for c, v in sorted(rd.items()):
-            # field.coerce is costly, and most values already have the field's type
-            if type(v) is not exact:
+            # field.coerce is costly, and most values are exact already
+            if type(v) not in exact:
                 v = field.coerce(v)
-            elif p:
+            if p:
                 v %= p
             if v:
                 items.append((c, v))

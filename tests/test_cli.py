@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bicompat.algebra import algebra_from_json, algebra_to_json, product_to_json
-from bicompat.builders import BandSpec, QuiverSpec, example_3dim, path_algebra, rectangular_band_algebra
+from bicompat.algebra import algebra_from_json, algebra_to_json, product_from_json, product_to_json
+from bicompat.builders import BandSpec, QuiverSpec, example_3dim, path_algebra, rectangular_band_algebra, zero_algebra
 from bicompat.cli import main
+from bicompat.compat import MAX_UNKNOWNS
+from bicompat.freealg import starmap_from_json
 from bicompat.linalg import QQ
 
 
@@ -112,8 +119,9 @@ def test_check_malformed_file_exit_two(tmp_path, example_files, capsys):
         {"dim": 1, "field": "Q", "table": [[0, 0, 0, "1/0"]]},
         {"dim": True, "field": "Q", "table": [[0, 0, 0, "1"]]},
         {"dim": 2, "field": "Q", "table": [[True, 0, 0, "1"]]},
+        {"dim": 2**127 - 1, "field": "Q", "table": []},
     ],
-    ids=["zero-denominator", "bool-dim", "bool-index"],
+    ids=["zero-denominator", "bool-dim", "bool-index", "huge-dim"],
 )
 def test_invariants_malformed_algebra_exit_two(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
@@ -180,6 +188,16 @@ def test_solve_matrix_swap_dimension(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "solve", str(m2), "--kind", "swap-matching", "--machine")
     assert code == 0
     assert json.loads(out.strip())["dimension"] == 1
+
+
+def test_solve_over_budget_exit_two(tmp_path, capsys):
+    path = tmp_path / "zero17.json"
+    path.write_text(json.dumps(algebra_to_json(zero_algebra(17, QQ))))
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "solve", str(path), "--kind", "compatible")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "input error" in err
+    assert f"budget of {MAX_UNKNOWNS}" in err
 
 
 def test_invariants_matrix_unit(tmp_path, capsys):
@@ -266,3 +284,135 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout.strip())["ok"] is True
+
+
+# -- fuzzed documents: every exit is a contract code, never a traceback -----
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=6,
+)
+_DROP = object()  # spoils a document by deleting the key or item
+_BAD = {
+    str: st.sampled_from(["1/0", "-3/00", "1/-2", "2.5", "x", "", "F5", "x,z"]),
+    int: st.sampled_from([-1, 0, 3, 2**127 - 1, True, 1.0, "0", None]),
+}
+
+
+def _coeff(field):
+    """Strings of the coefficient syntax, zero denominators included."""
+    den = st.none() | (st.integers(0, 4) if field == "Q" else st.nothing())
+    return st.builds(lambda a, b: str(a) if b is None else f"{a}/{b}", st.integers(-99, 99), den)
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def _spoiled(draw, doc):
+    """doc as it is, or with one value in it (the whole, a key, an item) replaced
+    by junk, mostly junk of the same type."""
+    paths = list(_paths(doc))
+    path = draw(st.sampled_from([None] * 2 * len(paths) + paths))
+    if path is None:
+        return doc
+    parent, old = None, doc
+    for key in path:
+        parent, old = old, old[key]
+    bad = _BAD.get(type(old), _JSON)
+    junk = draw(st.sampled_from([bad, bad, bad, bad, _JSON, st.just(_DROP)]).flatmap(lambda junk: junk))
+    if parent is None:
+        return None if junk is _DROP else junk
+    if junk is _DROP:
+        del parent[key]
+    else:
+        parent[key] = junk
+    return doc
+
+
+@st.composite
+def _tensor_doc(draw, key, dim, field):
+    """An algebra ("table") or product ("product") document, valid or spoiled in one place."""
+    index = st.integers(0, dim - 1)
+    doc = {
+        "dim": dim,
+        "field": field,
+        key: draw(
+            st.lists(st.tuples(index, index, index, _coeff(field)).map(list), max_size=6)
+            | st.just(algebra_to_json(rectangular_band_algebra(BandSpec(1, dim)))["table"])
+        ),
+    }
+    if draw(st.booleans()):
+        doc["labels"] = [f"b{i}" for i in range(dim)]
+    return draw(_spoiled(doc))
+
+
+@st.composite
+def _starmap_doc(draw):
+    word = st.sampled_from(["x", "y", "xy", "yx", "xyx", ""])
+    keys = draw(st.lists(st.sampled_from(["x,y", "x,x", "y,x", "y,y"]), max_size=4, unique=True))
+    field = draw(st.sampled_from(["Q", {"Fp": 3}]))
+    doc = {
+        "field": field,
+        "vars": ["x", "y"],
+        "table": {key: draw(st.lists(st.tuples(word, _coeff(field)).map(list), max_size=3)) for key in keys},
+    }
+    return draw(_spoiled(doc))
+
+
+_KINDS = st.sampled_from(["compatible", "id-matching,swap-matching", "totally-compatible", "swap-matching", "nope"])
+
+
+def _parses(load, doc):
+    try:
+        load(doc)
+    except Exception:
+        return False
+    return True
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    data=st.data(),
+    command=st.sampled_from(["check", "solve", "invariants", "check-star"]),
+    kinds=_KINDS,
+    machine=st.booleans(),
+)
+def test_fuzzed_documents_exit_by_contract(tmp_path_factory, data, command, kinds, machine):
+    dim = data.draw(st.integers(1, 3))
+    field = data.draw(st.sampled_from(["Q", {"Fp": 2}, {"Fp": 5}]))
+    docs = {
+        "algebra": data.draw(_tensor_doc("table", dim, field)),
+        "product": data.draw(_tensor_doc("product", dim, field)),
+        "starmap": data.draw(_starmap_doc()),
+    }
+    tmp = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = str(tmp / f"{name}.json")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    argv = {
+        "check": ["check", paths["algebra"], paths["product"], "--kinds", kinds],
+        "solve": ["solve", paths["algebra"], "--kind", kinds],
+        "invariants": ["invariants", paths["algebra"]],
+        "check-star": ["free", "check-star", paths["starmap"]],
+    }[command] + (["--machine"] if machine else [])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        if command == "check":
+            assert _parses(algebra_from_json, docs["algebra"]) and _parses(product_from_json, docs["product"])
+        else:
+            assert command == "check-star" and _parses(starmap_from_json, docs["starmap"])

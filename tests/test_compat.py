@@ -1,16 +1,23 @@
 import itertools
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 
 from bicompat.algebra import (
+    Endomorphism,
     NonAssociativeError,
     Product,
+    annihilator,
     associativity_witness,
     basis_vector,
+    center,
+    centralizer,
+    centroid,
     is_associative,
     multiply,
+    transport_product,
 )
 from bicompat.builders import (
     BandSpec,
@@ -41,8 +48,8 @@ from bicompat.compat import (
     solve_linear,
     sum_product,
 )
-from bicompat.linalg import GF, QQ
-from bicompat.suite import builder_zoo, rand_subspace_member
+from bicompat.linalg import GF, QQ, Matrix, _kernel_pure
+from bicompat.suite import builder_zoo, rand_invertible, rand_subspace_member, rand_vector
 
 
 def test_sum_product():
@@ -394,3 +401,118 @@ def test_evaluator_matches_reference(field):
             # includes the failing compatible space of the 3-dim example
             ps = solve_linear(kind, dot)
             assert all_members_associative(ps) == _reference_certificate(ps)
+
+
+# -- row builders against field arithmetic on basis tensors ------------------
+
+ROW_FIELDS = [QQ, GF(2), GF(5), GF(32003)]
+
+
+def _row_builder_inputs(field):
+    """Builder-zoo products and seeded base changes of them; over Q also
+    rational structure constants, so the integer tables carry a scale > 1.
+    The reference is slow, so dim 4 is left to F_2, and Q has one seeded
+    base change, by a matrix with 1/3 entries."""
+    rng = random.Random(43 + field.characteristic)
+    dots = []
+    for alg in builder_zoo(field):
+        if alg.dim <= 3 or field == GF(2):
+            dots.append(alg.dot)
+        if alg.dim <= 3 and field != QQ:
+            dots.append(transport_product(alg.dot, rand_invertible(rng, field, alg.dim)))
+    if field == QQ:
+        dot = example_3dim(QQ)[0].dot
+        thirds = Matrix(QQ, [[1, 0, 0], [Fraction(1, 3), 1, 0], [Fraction(-2, 3), Fraction(1, 3), 1]])
+        dots += [dot.scale(Fraction(1, 2)), transport_product(dot, thirds.mul(rand_invertible(rng, QQ, 3)))]
+    return dots
+
+
+def _kernel_of_columns(field, ncols, column):
+    """_kernel_pure of the system whose column c is the {row key: value} map column(c)."""
+    rows = defaultdict(dict)
+    for c in range(ncols):
+        for key, v in column(c).items():
+            if v != field.zero:
+                rows[key][c] = v
+    return _kernel_pure(field, ncols, list(rows.values()))
+
+
+def _unit(field, size, c):
+    return [field.one if x == c else field.zero for x in range(size)]
+
+
+def _reference_solve(dot):
+    """Every kind's solution space, column by column: the unknown X runs over
+    the basis tensors, and E1..E4 come from the public `multiply`."""
+    f, n = dot.field, dot.dim
+    b = [basis_vector(f, n, i) for i in range(n)]
+    dots = {(i, j): multiply(dot, b[i], b[j]) for i, j in itertools.product(range(n), repeat=2)}
+    triples = list(itertools.product(range(n), repeat=3))
+    values = []  # values[c][i, j, k]: E1..E4 at the triple, with X the basis tensor c
+    for c in range(n**3):
+        x = Product.from_flat(n, f, _unit(f, n**3, c))
+        xs = {ij: multiply(x, b[ij[0]], b[ij[1]]) for ij in dots}
+        values.append({
+            (i, j, k): {
+                E1: multiply(dot, xs[i, j], b[k]),
+                E2: multiply(x, dots[i, j], b[k]),
+                E3: multiply(x, b[i], dots[j, k]),
+                E4: multiply(dot, b[i], xs[j, k]),
+            }
+            for i, j, k in triples
+        })
+
+    def column(identities, c):
+        out = {}
+        for idx, (lhs, rhs) in enumerate(identities):
+            for t in triples:
+                left, right = _side(lhs, values[c][t], f), _side(rhs, values[c][t], f)
+                for l in range(n):
+                    out[idx, t, l] = f.sub(left[l], right[l])
+        return out
+
+    return {kind: _kernel_of_columns(f, n**3, lambda c: column(IDENTITIES[kind], c)) for kind in Kind}
+
+
+@pytest.mark.parametrize("field", ROW_FIELDS, ids=str)
+def test_solve_linear_matches_reference(field):
+    for dot in _row_builder_inputs(field):
+        want = _reference_solve(dot)
+        for kind in Kind:
+            assert solve_linear(kind, dot).space == want[kind], (dot, kind)
+
+
+@pytest.mark.parametrize("field", ROW_FIELDS, ids=str)
+def test_structure_spaces_match_reference(field):
+    rng = random.Random(47 + field.characteristic)
+    for dot in _row_builder_inputs(field):
+        f, n = dot.field, dot.dim
+        basis = [basis_vector(f, n, i) for i in range(n)]
+
+        def commutator(u, x):
+            return [f.sub(a, b) for a, b in zip(multiply(dot, basis[u], x), multiply(dot, x, basis[u]))]
+
+        def center_col(u):
+            return {(i, l): v for i, b in enumerate(basis) for l, v in enumerate(commutator(u, b))}
+
+        def annihilator_col(u):
+            sides = (multiply(dot, basis[u], b) for b in basis), (multiply(dot, b, basis[u]) for b in basis)
+            return {(s, i, l): v for s, side in enumerate(sides) for i, w in enumerate(side) for l, v in enumerate(w)}
+
+        def centroid_col(c):
+            phi = Endomorphism.from_flat(f, n, _unit(f, n * n, c))
+            out = {}
+            for i, j in itertools.product(range(n), repeat=2):
+                image = phi.apply(multiply(dot, basis[i], basis[j]))
+                left = multiply(dot, basis[i], phi.apply(basis[j]))
+                right = multiply(dot, phi.apply(basis[i]), basis[j])
+                for l in range(n):
+                    out[0, i, j, l] = f.sub(image[l], left[l])
+                    out[1, i, j, l] = f.sub(image[l], right[l])
+            return out
+
+        assert center(dot) == _kernel_of_columns(f, n, center_col)
+        assert annihilator(dot) == _kernel_of_columns(f, n, annihilator_col)
+        assert centroid(dot) == _kernel_of_columns(f, n * n, centroid_col)
+        for x in (basis[0], rand_vector(rng, f, n), rand_vector(rng, f, n)):
+            assert centralizer(dot, x) == _kernel_of_columns(f, n, lambda u: dict(enumerate(commutator(u, x))))

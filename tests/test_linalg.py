@@ -192,10 +192,15 @@ def test_subspace_ops_congruent_with_membership(field):
         assert inter.dim + total.dim == s1.dim + s2.dim
 
 
-def rand_sparse_system(rng, field, nrows, ncols, width):
-    """Random {col: coeff} rows with exact and rescaled duplicates mixed in."""
+def rand_sparse_system(rng, field, nrows, ncols, width, raw=False):
+    """Random {col: coeff} rows with exact and rescaled duplicates mixed in.
+
+    With raw=True every value is a plain int of either sign, zeros and
+    multiples of p included, and some rows are empty."""
 
     def coeff():
+        if raw:
+            return rng.choice([0, 1, -1, 2, -3]) + (field.p if field.characteristic else 5) * rng.randrange(-2, 3)
         if field == QQ:
             return Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 1, 2, 3, 7]))
         return rng.randrange(1, field.p) + field.p * rng.randrange(-2, 3)
@@ -203,7 +208,9 @@ def rand_sparse_system(rng, field, nrows, ncols, width):
     rows = []
     for _ in range(nrows):
         roll = rng.random()
-        if rows and roll < 0.2:
+        if raw and roll < 0.05:
+            rows.append({})
+        elif rows and roll < 0.2:
             rows.append(dict(rng.choice(rows)))
         elif rows and roll < 0.4:
             s = coeff()
@@ -216,9 +223,10 @@ def rand_sparse_system(rng, field, nrows, ncols, width):
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(32003), GF(2147483659)])
 def test_fast_kernel_matches_pure(field):
     rng = random.Random(31337 + field.characteristic)
-    for nrows, ncols, width in [(260, 150, 3)] + [(rng.randrange(1, 40), rng.randrange(1, 30), 4) for _ in range(40)]:
-        rows = rand_sparse_system(rng, field, nrows, ncols, width)
-        assert kernel_from_rows(field, ncols, rows) == _kernel_pure(field, ncols, rows)
+    for raw in (False, True):
+        for nrows, ncols, width in [(260, 150, 3)] + [(rng.randrange(1, 40), rng.randrange(1, 30), 4) for _ in range(40)]:
+            rows = rand_sparse_system(rng, field, nrows, ncols, width, raw)
+            assert kernel_from_rows(field, ncols, rows) == _kernel_pure(field, ncols, rows)
 
 
 def test_fast_kernel_fraction_rows():
