@@ -262,6 +262,11 @@ def _cmd_free(args):
             print(f"{args.left} * {args.right} = {result}")
         return EXIT_OK
     if args.free_cmd == "verify":
+        least = sm.max_degree() + 3
+        if args.degree < least:
+            raise FileFormatError(
+                f"--degree must be at least {least} (max star image degree + 3) to check any word triple"
+            )
         witness = verify_id_matching_truncated(sm, args.degree)
         if args.machine:
             obj = {"verified": witness is None, "degree": args.degree}

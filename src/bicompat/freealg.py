@@ -13,6 +13,7 @@ quotient by words of degree above the cap.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -38,6 +39,12 @@ class ConditionNotVerifiedError(FreeAlgebraError):
 
 class WrongVariableCountError(FreeAlgebraError):
     pass
+
+
+# Input budgets: a star map document has at most MAX_LETTERS variables (an
+# algebra document's MAX_DIM), a truncated check at most MAX_WORD_TRIPLES triples.
+MAX_LETTERS = 32
+MAX_WORD_TRIPLES = 2**20
 
 
 def _check_alphabet(alphabet):
@@ -70,6 +77,13 @@ class NCPoly:
         self.terms = clean
 
     @classmethod
+    def _clean(cls, field, alphabet, terms):
+        """Trusted constructor: a checked alphabet and nonzero field values."""
+        poly = cls.__new__(cls)
+        poly.field, poly.alphabet, poly.terms = field, alphabet, terms
+        return poly
+
+    @classmethod
     def zero(cls, field, alphabet):
         return cls(field, alphabet, {})
 
@@ -99,7 +113,7 @@ class NCPoly:
                 terms.pop(w, None)
             else:
                 terms[w] = nv
-        return NCPoly(f, self.alphabet, terms)
+        return NCPoly._clean(f, self.alphabet, terms)
 
     def sub(self, other):
         return self.add(other.scale(other.field.neg(other.field.one)))
@@ -109,7 +123,7 @@ class NCPoly:
         c = f.coerce(c)
         if c == f.zero:
             return NCPoly.zero(f, self.alphabet)
-        return NCPoly(f, self.alphabet, {w: f.mul(c, v) for w, v in self.terms.items()})
+        return NCPoly._clean(f, self.alphabet, {w: f.mul(c, v) for w, v in self.terms.items()})
 
     def mul(self, other):
         self._peer(other)
@@ -123,13 +137,13 @@ class NCPoly:
                     terms.pop(w, None)
                 else:
                     terms[w] = nv
-        return NCPoly(f, self.alphabet, terms)
+        return NCPoly._clean(f, self.alphabet, terms)
 
     def mul_word_left(self, w):
-        return NCPoly(self.field, self.alphabet, {w + u: v for u, v in self.terms.items()})
+        return NCPoly.word(self.field, self.alphabet, w).mul(self)
 
     def mul_word_right(self, w):
-        return NCPoly(self.field, self.alphabet, {u + w: v for u, v in self.terms.items()})
+        return self.mul(NCPoly.word(self.field, self.alphabet, w))
 
     def degree(self):
         """Maximal word length, or None for the zero polynomial."""
@@ -197,7 +211,7 @@ def decompose_right(q: NCPoly):
     parts = {u: {} for u in q.alphabet}
     for w, v in q.terms.items():
         parts[w[0]][w[1:]] = v
-    return {u: NCPoly(q.field, q.alphabet, t) for u, t in parts.items()}
+    return {u: NCPoly._clean(q.field, q.alphabet, t) for u, t in parts.items()}
 
 
 def decompose_left(q: NCPoly):
@@ -207,7 +221,7 @@ def decompose_left(q: NCPoly):
     parts = {u: {} for u in q.alphabet}
     for w, v in q.terms.items():
         parts[w[-1]][w[:-1]] = v
-    return {u: NCPoly(q.field, q.alphabet, t) for u, t in parts.items()}
+    return {u: NCPoly._clean(q.field, q.alphabet, t) for u, t in parts.items()}
 
 
 @dataclass(frozen=True)
@@ -258,21 +272,14 @@ class StarMap:
 
 
 def _star_condition(sm: StarMap):
-    for x in sm.alphabet:
-        for y in sm.alphabet:
-            left_parts = decompose_left(sm.image(x, y))
-            for z in sm.alphabet:
-                right_parts = decompose_right(sm.image(y, z))
-                lhs = NCPoly.zero(sm.field, sm.alphabet)
-                for v, L in left_parts.items():
-                    if not L.is_zero():
-                        lhs = lhs.add(L.mul(sm.image(v, z)))
-                rhs = NCPoly.zero(sm.field, sm.alphabet)
-                for u, R in right_parts.items():
-                    if not R.is_zero():
-                        rhs = rhs.add(sm.image(x, u).mul(R))
-                if lhs != rhs:
-                    return StarWitness((x, y, z), lhs, rhs)
+    # sum_v L_v . (v star z) and sum_u (x star u) . R_u, for x star y = sum_v L_v . v
+    # and y star z = sum_u u . R_u, are the extension on (x star y, z) and (x, y star z)
+    f, table = sm.field, sm.table
+    for x, y, z in itertools.product(sm.alphabet, repeat=3):
+        lhs = _extend_terms(f, table, table[(x, y)].terms, {z: f.one})
+        rhs = _extend_terms(f, table, {x: f.one}, table[(y, z)].terms)
+        if lhs != rhs:
+            return StarWitness((x, y, z), *(NCPoly._clean(f, sm.alphabet, t) for t in (lhs, rhs)))
     return None
 
 
@@ -281,13 +288,25 @@ def star_condition(sm: StarMap):
     return sm.condition_witness()
 
 
-def _extend_words(sm: StarMap, wa, wb):
-    image = sm.image(wa[-1], wb[0])
-    if wa[:-1]:
-        image = image.mul_word_left(wa[:-1])
-    if wb[1:]:
-        image = image.mul_word_right(wb[1:])
-    return image
+def _extend_words(table, wa, wb):
+    """Terms of wa[:-1] . S(wa[-1], wb[0]) . wb[1:]; S's words never collide."""
+    pre, post = wa[:-1], wb[1:]
+    return {pre + w + post: v for w, v in table[(wa[-1], wb[0])].terms.items()}
+
+
+def _extend_terms(f, table, a, b):
+    """Terms of the bilinear extension on term dicts a and b, zeros dropped."""
+    out = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            c = f.mul(ca, cb)
+            for w, v in _extend_words(table, wa, wb).items():
+                nv = f.add(out.get(w, f.zero), f.mul(c, v))
+                if nv == f.zero:
+                    out.pop(w, None)
+                else:
+                    out[w] = nv
+    return out
 
 
 def extend_star(sm: StarMap, a: NCPoly, b: NCPoly) -> NCPoly:
@@ -300,12 +319,7 @@ def extend_star(sm: StarMap, a: NCPoly, b: NCPoly) -> NCPoly:
         raise AlphabetMismatchError("right factor over wrong field or alphabet")
     if not (a.is_aug_zero() and b.is_aug_zero()):
         raise NonzeroConstantTermError("extension needs zero constant terms")
-    f = sm.field
-    out = NCPoly.zero(f, sm.alphabet)
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            out = out.add(_extend_words(sm, wa, wb).scale(f.mul(ca, cb)))
-    return out
+    return NCPoly._clean(sm.field, sm.alphabet, _extend_terms(sm.field, sm.table, a.terms, b.terms))
 
 
 # Identity instances for truncated verification.  With star = extension of sm
@@ -319,15 +333,23 @@ _STAR_IDENTITIES = {
 }
 
 
-def _star_exprs(sm, wa, wb, wc):
-    starred_ab = _extend_words(sm, wa, wb)
-    starred_bc = _extend_words(sm, wb, wc)
-    return {
-        "G1": starred_ab.mul_word_right(wc),
-        "G2": _extend_words(sm, wa + wb, wc),
-        "G3": _extend_words(sm, wa, wb + wc),
-        "G4": starred_bc.mul_word_left(wa),
-    }
+def _word_triples(alphabet, cap):
+    """Word triples with deg a + deg b + deg c <= cap: by degrees, then words.
+
+    There are C(t-1, 2) k^t of total degree t; above MAX_WORD_TRIPLES in all
+    (always the case for cap > 200) this raises before enumerating.
+    """
+    k = len(alphabet)
+    if sum(math.comb(t - 1, 2) * k**t for t in range(3, min(cap, 201) + 1)) > MAX_WORD_TRIPLES:
+        raise FreeAlgebraError(f"cap {cap}, {k} letters: over {MAX_WORD_TRIPLES} triples of words")
+    words = {t: words_up_to(alphabet, t, start=t) for t in range(1, cap - 1)}
+    return (
+        triple
+        for ta in range(1, cap - 1)
+        for tb in range(1, cap - ta)
+        for tc in range(1, cap - ta - tb + 1)
+        for triple in itertools.product(words[ta], words[tb], words[tc])
+    )
 
 
 @dataclass(frozen=True)
@@ -342,18 +364,17 @@ def identity_witness_truncated(sm: StarMap, kind: str, total_degree_cap: int):
         raise FreeAlgebraError(f"unknown identity family {kind!r}")
     if sm.condition_witness() is not None:
         raise ConditionNotVerifiedError("star map fails the extension condition")
-    pairs = _STAR_IDENTITIES[kind]
-    cap = total_degree_cap
-    for ta in range(1, cap - 1):
-        for tb in range(1, cap - ta):
-            for tc in range(1, cap - ta - tb + 1):
-                for wa in words_up_to(sm.alphabet, ta, start=ta):
-                    for wb in words_up_to(sm.alphabet, tb, start=tb):
-                        for wc in words_up_to(sm.alphabet, tc, start=tc):
-                            exprs = _star_exprs(sm, wa, wb, wc)
-                            for lhs, rhs in pairs:
-                                if exprs[lhs] != exprs[rhs]:
-                                    return TruncatedWitness(f"{lhs}={rhs}", (wa, wb, wc))
+    pairs, table = _STAR_IDENTITIES[kind], sm.table
+    for wa, wb, wc in _word_triples(sm.alphabet, total_degree_cap):
+        exprs = {
+            "G1": {w + wc: v for w, v in _extend_words(table, wa, wb).items()},
+            "G2": _extend_words(table, wa + wb, wc),
+            "G3": _extend_words(table, wa, wb + wc),
+            "G4": {wa + w: v for w, v in _extend_words(table, wb, wc).items()},
+        }
+        for lhs, rhs in pairs:
+            if exprs[lhs] != exprs[rhs]:
+                return TruncatedWitness(f"{lhs}={rhs}", (wa, wb, wc))
     return None
 
 
@@ -368,20 +389,12 @@ def verify_id_matching_truncated(sm: StarMap, degree: int):
     if w is not None:
         return w
     # associativity of the extension: (a*b)*c = a*(b*c)
-    for ta in range(1, cap - 1):
-        for tb in range(1, cap - ta):
-            for tc in range(1, cap - ta - tb + 1):
-                for wa in words_up_to(sm.alphabet, ta, start=ta):
-                    for wb in words_up_to(sm.alphabet, tb, start=tb):
-                        for wc in words_up_to(sm.alphabet, tc, start=tc):
-                            ab = _extend_words(sm, wa, wb)
-                            bc = _extend_words(sm, wb, wc)
-                            c_poly = NCPoly.word(sm.field, sm.alphabet, wc)
-                            a_poly = NCPoly.word(sm.field, sm.alphabet, wa)
-                            lhs = extend_star(sm, ab, c_poly)
-                            rhs = extend_star(sm, a_poly, bc)
-                            if lhs != rhs:
-                                return TruncatedWitness("(a*b)*c=a*(b*c)", (wa, wb, wc))
+    f, table = sm.field, sm.table
+    for wa, wb, wc in _word_triples(sm.alphabet, cap):
+        lhs = _extend_terms(f, table, _extend_words(table, wa, wb), {wc: f.one})
+        rhs = _extend_terms(f, table, {wa: f.one}, _extend_words(table, wb, wc))
+        if lhs != rhs:
+            return TruncatedWitness("(a*b)*c=a*(b*c)", (wa, wb, wc))
     return None
 
 
@@ -788,6 +801,8 @@ def starmap_from_json(obj) -> StarMap:
     alphabet = obj.get("vars")
     if not (isinstance(alphabet, list) and alphabet):
         raise FreeAlgebraError("star map document needs 'vars'")
+    if len(alphabet) > MAX_LETTERS:
+        raise FreeAlgebraError(f"{len(alphabet)} variables; a star map has at most {MAX_LETTERS}")
     alphabet = _check_alphabet(alphabet)
     table = {}
     raw = obj.get("table", {})

@@ -444,7 +444,16 @@ class Subspace:
 
     @classmethod
     def full(cls, field, ambient_dim):
-        return cls(field, ambient_dim, Matrix.identity(field, ambient_dim).rows)
+        """The whole space; its identity basis is canonical, so it is set without re-checking."""
+        rows = []
+        for i in range(ambient_dim):
+            row = [field.zero] * ambient_dim
+            row[i] = field.one
+            rows.append(tuple(row))
+        space = cls.__new__(cls)
+        space.field, space.ambient_dim = field, ambient_dim
+        space.basis, space.pivots = tuple(rows), tuple(range(ambient_dim))
+        return space
 
     @property
     def dim(self):

@@ -490,8 +490,8 @@ def _entry_prop_42():
     for name, sm in stars.items():
         if star_condition(sm) is not None:
             return False, f"{name} star fails the extension condition"
-        d = 4 if name != "mutation" else 5
-        if verify_id_matching_truncated(sm, d) is not None:
+        # degree = max image degree + 5: word triples of total degree <= 5
+        if verify_id_matching_truncated(sm, sm.max_degree() + 5) is not None:
             return False, f"{name} star fails truncated verification"
     # regression: the sparse star x*x = y also satisfies the condition
     weird = StarMap(QQ, X, {("x", "x"): NCPoly.var(QQ, X, "y")})

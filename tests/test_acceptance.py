@@ -255,6 +255,8 @@ def test_c11_free_algebra_suite():
     for name, sm in stars.items():
         assert star_condition(sm) is None, name
         assert verify_id_matching_truncated(sm, 4) is None, name
+        # non-vacuous: every word triple of total degree <= 5 (248 of them)
+        assert verify_id_matching_truncated(sm, sm.max_degree() + 5) is None, name
     space = generator_chain_space(X, 4)
     vec = concatenation_coords(X, 4)
     assert space.dim == 1

@@ -256,6 +256,27 @@ def test_free_workflow(tmp_path, capsys):
     assert code == 0 and out.strip().endswith("3")
 
 
+def test_free_verify_degree_and_letter_budgets(tmp_path, capsys):
+    star = {"field": "Q", "vars": ["x", "y"], "table": {"x,y": [["xy", "1"]], "y,x": [["yx", "1"]]}}
+    sf = tmp_path / "star.json"
+    sf.write_text(json.dumps(star))
+    code, out, _ = run_cli(capsys, "free", "verify", str(sf), "--degree", "5", "--machine")
+    assert code == 0 and json.loads(out.strip())["verified"] is True
+    # degree - max image degree < 3 checks no word triple
+    for degree in ("4", "0"):
+        code, out, err = run_cli(capsys, "free", "verify", str(sf), "--degree", degree)
+        assert code == 2 and "at least 5" in err and out == ""
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "free", "verify", str(sf), "--degree", "40")
+    assert code == 2 and "triples of words" in err
+    assert time.perf_counter() - start < 1.0
+    letters = [chr(ord("A") + i) for i in range(33)]
+    sf.write_text(json.dumps({"field": "Q", "vars": letters, "table": {}}))
+    for cmd in ("check-star", "verify"):
+        code, _, err = run_cli(capsys, "free", cmd, str(sf))
+        assert code == 2 and "at most 32" in err
+
+
 def test_free_failing_star_exit_one(tmp_path, capsys):
     star = {"field": "Q", "vars": ["x", "y"], "table": {"x,y": [["x", "1"]]}}
     sf = tmp_path / "bad_star.json"
@@ -379,7 +400,7 @@ def _parses(load, doc):
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(
     data=st.data(),
-    command=st.sampled_from(["check", "solve", "invariants", "check-star"]),
+    command=st.sampled_from(["check", "solve", "invariants", "check-star", "verify"]),
     kinds=_KINDS,
     machine=st.booleans(),
 )
@@ -402,6 +423,7 @@ def test_fuzzed_documents_exit_by_contract(tmp_path_factory, data, command, kind
         "solve": ["solve", paths["algebra"], "--kind", kinds],
         "invariants": ["invariants", paths["algebra"]],
         "check-star": ["free", "check-star", paths["starmap"]],
+        "verify": ["free", "verify", paths["starmap"]],
     }[command] + (["--machine"] if machine else [])
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -415,4 +437,4 @@ def test_fuzzed_documents_exit_by_contract(tmp_path_factory, data, command, kind
         if command == "check":
             assert _parses(algebra_from_json, docs["algebra"]) and _parses(product_from_json, docs["product"])
         else:
-            assert command == "check-star" and _parses(starmap_from_json, docs["starmap"])
+            assert command in ("check-star", "verify") and _parses(starmap_from_json, docs["starmap"])

@@ -1,11 +1,17 @@
+import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from bicompat.freealg import (
+    MAX_LETTERS,
+    MAX_WORD_TRIPLES,
     AlphabetMismatchError,
     ConditionNotVerifiedError,
     CPoly,
+    FreeAlgebraError,
     NCPoly,
     NonzeroConstantTermError,
     StarMap,
@@ -29,6 +35,7 @@ from bicompat.freealg import (
     nc_mul,
     right_zero_star,
     star_condition,
+    starmap_from_json,
     truncated_centroid_dim,
     verify_id_matching_truncated,
     words_up_to,
@@ -182,6 +189,32 @@ def test_verify_truncated():
     assert verify_id_matching_truncated(mutation_star(QQ, X, W("xy")), 5) is None
     weird = StarMap(QQ, X, {("x", "x"): V("y")})
     assert verify_id_matching_truncated(weird, 6) is None
+    # degree - max image degree = 5 checks the 248 word triples of total degree <= 5
+    stars = [concat_star(QQ, X), left_zero_star(QQ, X), mutation_star(QQ, X, W("xy")), weird]
+    for sm in stars:
+        assert verify_id_matching_truncated(sm, sm.max_degree() + 5) is None
+
+
+def test_truncated_word_triple_budget():
+    cs = concat_star(QQ, X)
+    # 2 letters: sum_{t=3..cap} C(t-1, 2) 2^t is 917,496 triples at cap 13 and 2,195,448 at 14
+    assert sum(math.comb(t - 1, 2) * 2**t for t in range(3, 14)) <= MAX_WORD_TRIPLES
+    with pytest.raises(FreeAlgebraError, match="triples of words"):
+        identity_witness_truncated(cs, "id-matching", 14)
+    with pytest.raises(FreeAlgebraError, match="triples of words"):
+        verify_id_matching_truncated(cs, 10**9)
+    # the condition is still checked first
+    with pytest.raises(ConditionNotVerifiedError):
+        identity_witness_truncated(StarMap(QQ, X, {("x", "y"): V("x")}), "id-matching", 10**9)
+
+
+def test_starmap_letter_budget():
+    letters = [chr(ord("A") + i) for i in range(MAX_LETTERS + 1)]
+    doc = {"field": "Q", "vars": letters[:MAX_LETTERS], "table": {"A,B": [["AB", "1"]]}}
+    assert len(starmap_from_json(doc).alphabet) == MAX_LETTERS
+    doc["vars"] = letters
+    with pytest.raises(FreeAlgebraError, match="variables"):
+        starmap_from_json(doc)
 
 
 def test_swap_implies_totally_compatible_with_margin():
@@ -203,6 +236,144 @@ def test_left_zero_star_is_not_swap_matching():
     lz = left_zero_star(QQ, X)
     w = identity_witness_truncated(lz, "swap-matching", 4)
     assert isinstance(w, TruncatedWitness)
+
+
+# ---------------------------------------------------------------------------
+# differential: the term-dict evaluator against public NCPoly arithmetic
+
+_REF_IDENTITIES = {
+    "id-matching": ("G1=G3", "G2=G4"),
+    "swap-matching": ("G1=G4", "G2=G3"),
+    "interchangeable": ("G1=G2", "G3=G4"),
+    "totally-compatible": ("G1=G2", "G2=G4", "G4=G3"),
+}
+
+
+def _ref_extend(sm, a, b):
+    """sum over terms of a1 . S(x, y) . b1, with word products, mul, scale and add."""
+    f, letters = sm.field, sm.alphabet
+    out = NCPoly.zero(f, letters)
+    for wa, ca in a.terms.items():
+        for wb, cb in b.terms.items():
+            left, right = NCPoly.word(f, letters, wa[:-1]), NCPoly.word(f, letters, wb[1:])
+            term = left.mul(sm.image(wa[-1], wb[0])).mul(right)
+            out = out.add(term.scale(f.mul(ca, cb)))
+    return out
+
+
+def _ref_condition(sm):
+    """First (x, y, z) with sum_v L_v . (v star z) != sum_u (x star u) . R_u, as (triple, lhs, rhs)."""
+    f, letters = sm.field, sm.alphabet
+    for x, y, z in itertools.product(letters, repeat=3):
+        lhs = rhs = NCPoly.zero(f, letters)
+        for v, part in decompose_left(sm.image(x, y)).items():
+            lhs = lhs.add(part.mul(sm.image(v, z)))
+        for u, part in decompose_right(sm.image(y, z)).items():
+            rhs = rhs.add(sm.image(x, u).mul(part))
+        if lhs != rhs:
+            return (x, y, z), lhs, rhs
+    return None
+
+
+def _ref_triples(letters, cap):
+    def words(n):
+        return ["".join(t) for t in itertools.product(letters, repeat=n)]
+
+    for ta in range(1, cap - 1):
+        for tb in range(1, cap - ta):
+            for tc in range(1, cap - ta - tb + 1):
+                for wa, wb, wc in itertools.product(words(ta), words(tb), words(tc)):
+                    yield wa, wb, wc
+
+
+def _ref_witness(sm, kind, cap):
+    if _ref_condition(sm) is not None:
+        raise ConditionNotVerifiedError("reference: condition fails")
+    f, letters = sm.field, sm.alphabet
+    for wa, wb, wc in _ref_triples(letters, cap):
+        a, b, c = (NCPoly.word(f, letters, w) for w in (wa, wb, wc))
+        g = {
+            "G1": _ref_extend(sm, a, b).mul(c),
+            "G2": _ref_extend(sm, a.mul(b), c),
+            "G3": _ref_extend(sm, a, b.mul(c)),
+            "G4": a.mul(_ref_extend(sm, b, c)),
+        }
+        for name in _REF_IDENTITIES[kind]:
+            lhs, rhs = name.split("=")
+            if g[lhs] != g[rhs]:
+                return TruncatedWitness(name, (wa, wb, wc))
+    return None
+
+
+def _ref_verify(sm, degree):
+    cap = degree - sm.max_degree()
+    witness = _ref_witness(sm, "id-matching", cap)
+    if witness is not None:
+        return witness
+    f, letters = sm.field, sm.alphabet
+    for wa, wb, wc in _ref_triples(letters, cap):
+        a, b, c = (NCPoly.word(f, letters, w) for w in (wa, wb, wc))
+        if _ref_extend(sm, _ref_extend(sm, a, b), c) != _ref_extend(sm, a, _ref_extend(sm, b, c)):
+            return TruncatedWitness("(a*b)*c=a*(b*c)", (wa, wb, wc))
+    return None
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ConditionNotVerifiedError:
+        return ConditionNotVerifiedError
+
+
+def _diff_stars(rng, f, letters):
+    x, y = letters[0], letters[1]
+
+    values = [1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3)] if f == QQ else [1, 2, 3, 4]
+
+    def poly(words):
+        return NCPoly(f, letters, {w: rng.choice(values) for w in words})
+
+    some = ["".join(t) for n in (1, 2) for t in itertools.product(letters, repeat=n)]
+    return [
+        concat_star(f, letters),
+        concat_star(f, letters, 3),
+        left_zero_star(f, letters),  # not swap-matching: gives witnesses
+        right_zero_star(f, letters),
+        mutation_star(f, letters, poly([x + y])),
+        mutation_star(f, letters, poly(["", y, x + y])),  # constant term, seeded (rational) coefficients
+        mutation_star(f, letters, poly(rng.sample(some, 2))),
+        StarMap(f, letters, {(x, x): NCPoly.var(f, letters, y)}),
+        StarMap(f, letters, {(x, y): NCPoly.var(f, letters, x)}),  # fails the condition
+        StarMap(f, letters, {(u, v): poly(rng.sample(some, 2)) for u in letters for v in letters}),
+    ]
+
+
+@pytest.mark.parametrize(
+    "field, letters, cap",
+    [(QQ, ("x", "y"), 5), (GF(5), ("x", "y"), 5), (QQ, ("x", "y", "z"), 4), (GF(5), ("x", "y", "z"), 4)],
+    ids=["Q-2", "F5-2", "Q-3", "F5-3"],
+)
+def test_truncated_evaluator_matches_reference(field, letters, cap):
+    rng = random.Random(cap * len(letters) + (field != QQ))
+    witnesses = raised = 0
+    for sm in _diff_stars(rng, field, letters):
+        got = star_condition(sm)
+        assert (got and (got.triple, got.lhs, got.rhs)) == _ref_condition(sm)
+        for kind in _REF_IDENTITIES:
+            got = _outcome(identity_witness_truncated, sm, kind, cap)
+            assert got == _outcome(_ref_witness, sm, kind, cap), (sm.table, kind)
+            witnesses += isinstance(got, TruncatedWitness)
+        degree = sm.max_degree() + cap
+        got = _outcome(verify_id_matching_truncated, sm, degree)
+        assert got == _outcome(_ref_verify, sm, degree), sm.table
+        raised += got is ConditionNotVerifiedError
+        if got is ConditionNotVerifiedError:
+            continue
+        words = ["".join(t) for n in (1, 2, 3) for t in itertools.product(letters, repeat=n)]
+        for _ in range(4):
+            a, b = (NCPoly(field, letters, {w: rng.randrange(-3, 4) for w in rng.sample(words, 3)}) for _ in "ab")
+            assert extend_star(sm, a, b) == _ref_extend(sm, a, b)
+    assert witnesses >= 4 and raised >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,17 @@ def test_subspace_lattice_examples():
     assert subspace_sum(s, t) == full
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+def test_subspace_full_is_identity_space(field):
+    for n in (0, 1, 4):
+        rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        full, ref = Subspace.full(field, n), Subspace(field, n, rows)
+        assert full == ref and hash(full) == hash(ref)
+        assert full.basis == ref.basis and full.pivots == ref.pivots
+        assert all(type(v) is type(field.one) for row in full.basis for v in row)
+    assert kernel_from_rows(field, 3, [{}, {0: 0}]) == Subspace(field, 3, Matrix.identity(field, 3).rows)
+
+
 def test_subspace_mismatches_rejected():
     s = Subspace(QQ, 2, [[1, 0]])
     t = Subspace(GF(3), 2, [[1, 0]])
