@@ -19,10 +19,10 @@ from .linalg import (
     Matrix,
     ShapeMismatchError,
     Subspace,
-    _rref_rows,
     field_from_json,
     field_to_json,
     kernel_from_rows,
+    rref,
     solve,
 )
 
@@ -474,9 +474,6 @@ class Algebra:
         self.labels = labels
         self.dot = dot
 
-    def label_of(self, i):
-        return self.labels[i]
-
     def index_of(self, label):
         try:
             return self.labels.index(label)
@@ -546,14 +543,12 @@ def ginv_apply(ginv: Matrix, v, field):
 def matrix_inverse(g: Matrix) -> Matrix:
     if g.nrows != g.ncols:
         raise ShapeMismatchError("only square matrices invert")
-    f = g.field
     n = g.nrows
-    eye = Matrix.identity(f, n)
-    rows = [list(gr) + list(er) for gr, er in zip(g.rows, eye.rows)]
-    pivots = _rref_rows(f, rows)
-    if pivots != list(range(n)):
+    eye = Matrix.identity(g.field, n)
+    reduced, _ = rref(Matrix(g.field, [gr + er for gr, er in zip(g.rows, eye.rows)]))
+    if any(row[:n] != er for row, er in zip(reduced.rows, eye.rows)):
         raise LinalgError("matrix is singular")
-    return Matrix(f, [row[n:] for row in rows])
+    return Matrix(g.field, [row[n:] for row in reduced.rows])
 
 
 # ---------------------------------------------------------------------------

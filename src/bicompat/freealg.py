@@ -774,21 +774,6 @@ def ncpoly_from_json(field, alphabet, data) -> NCPoly:
     return NCPoly(field, alphabet, terms)
 
 
-def starmap_to_json(sm: StarMap):
-    from .linalg import field_to_json
-
-    return {
-        "field": field_to_json(sm.field),
-        "vars": list(sm.alphabet),
-        "table": {
-            f"{x},{y}": ncpoly_to_json(sm.image(x, y))
-            for x in sm.alphabet
-            for y in sm.alphabet
-            if not sm.image(x, y).is_zero()
-        },
-    }
-
-
 def starmap_from_json(obj) -> StarMap:
     from .linalg import LinalgError, field_from_json
 

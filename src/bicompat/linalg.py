@@ -2,12 +2,16 @@
 
 Scalars are plain values (`fractions.Fraction` over Q, small ints in [0, p)
 over F_p); a field object supplies the arithmetic.  Matrices and subspaces
-are immutable, and subspaces are canonicalized to reduced row echelon form
-on construction, so subspace equality is entrywise comparison of bases.
+are immutable, and every subspace holds its canonical reduced row echelon
+basis, so subspace equality is entrywise comparison of bases.
 
-Kernels are computed by one sparse modular engine: elimination modulo a
-prime, and over Q rational reconstruction from several primes followed by
-an exact certificate, so every returned object is exact.
+Spanning sets are canonicalized by one exact dense Gauss-Jordan,
+`_rref_rows`, which serves the `Subspace` constructor, `rref` and the
+particular solution of `solve`.  Every kernel comes from one sparse modular
+engine: elimination modulo a prime, and over Q rational reconstruction from
+several primes followed by an exact certificate.  Its basis is canonical
+and certified when it is built, so it is handed to `Subspace` as it is,
+without a second check.
 """
 
 from __future__ import annotations
@@ -291,9 +295,6 @@ class Matrix:
     def scalar(self, i, j):
         return Scalar(self.rows[i][j], self.field)
 
-    def transpose(self):
-        return Matrix(self.field, list(zip(*self.rows)) if self.rows else [])
-
     def matvec(self, v):
         v = [self.field.coerce(x) for x in v]
         if len(v) != self.ncols:
@@ -380,42 +381,6 @@ def rref(m: Matrix):
     return Matrix(m.field, rows), len(pivots)
 
 
-def _kernel_basis_from_rref(field, rows, pivots, ncols):
-    """Kernel basis vectors of an RREF system, one per free column."""
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    zero, one = field.zero, field.one
-    for fcol in free:
-        v = [zero] * ncols
-        v[fcol] = one
-        for i, pc in enumerate(pivots):
-            if i < len(rows) and rows[i][fcol] != zero:
-                v[pc] = field.neg(rows[i][fcol])
-        basis.append(v)
-    return basis
-
-
-def _rref_shape_pivots(field, rows):
-    """Pivot columns if rows already form a canonical RREF basis, else None."""
-    zero, one = field.zero, field.one
-    pivots = []
-    for row in rows:
-        pc = next((j for j, v in enumerate(row) if v != zero), None)
-        if pc is None:
-            return None
-        if row[pc] != one:
-            return None
-        if pivots and pc <= pivots[-1]:
-            return None
-        pivots.append(pc)
-    for i, row in enumerate(rows):
-        for j, pc in enumerate(pivots):
-            if j != i and row[pc] != zero:
-                return None
-    return pivots
-
-
 class Subspace:
     """Linear subspace of a coordinate space, held as a canonical RREF basis."""
 
@@ -428,15 +393,17 @@ class Subspace:
         for row in work:
             if len(row) != ambient_dim:
                 raise ShapeMismatchError("basis row length != ambient dim")
-        ready = _rref_shape_pivots(field, work)
-        if ready is not None:
-            canon, pivots = [tuple(r) for r in work], ready
-        else:
-            pivcols = _rref_rows(field, work)
-            canon = [tuple(r) for r in work[: len(pivcols)]]
-            pivots = pivcols
-        self.basis = tuple(canon)
+        pivots = _rref_rows(field, work)
+        self.basis = tuple(tuple(r) for r in work[: len(pivots)])
         self.pivots = tuple(pivots)
+
+    @classmethod
+    def _canonical(cls, field, ambient_dim, basis, pivots):
+        """A subspace whose basis tuples are already its canonical RREF, set without re-checking."""
+        space = cls.__new__(cls)
+        space.field, space.ambient_dim = field, ambient_dim
+        space.basis, space.pivots = tuple(basis), tuple(pivots)
+        return space
 
     @classmethod
     def zero(cls, field, ambient_dim):
@@ -444,23 +411,14 @@ class Subspace:
 
     @classmethod
     def full(cls, field, ambient_dim):
-        """The whole space; its identity basis is canonical, so it is set without re-checking."""
-        rows = []
-        for i in range(ambient_dim):
-            row = [field.zero] * ambient_dim
-            row[i] = field.one
-            rows.append(tuple(row))
-        space = cls.__new__(cls)
-        space.field, space.ambient_dim = field, ambient_dim
-        space.basis, space.pivots = tuple(rows), tuple(range(ambient_dim))
-        return space
+        """The whole space, whose identity basis is canonical."""
+        z, o = field.zero, field.one
+        rows = [tuple(o if i == j else z for j in range(ambient_dim)) for i in range(ambient_dim)]
+        return cls._canonical(field, ambient_dim, rows, range(ambient_dim))
 
     @property
     def dim(self):
         return len(self.basis)
-
-    def basis_matrix(self):
-        return Matrix(self.field, self.basis)
 
     def reduce(self, v):
         """Remainder of v after elimination against the basis."""
@@ -558,8 +516,10 @@ class AffineSubspace:
 
     def member(self, v):
         f = self.directions.field
-        diff = [f.sub(f.coerce(a), b) for a, b in zip(v, self.particular)]
-        return self.directions.member(diff)
+        v = [f.coerce(x) for x in v]
+        if len(v) != len(self.particular):
+            raise ShapeMismatchError("vector length != ambient dim")
+        return self.directions.member([f.sub(a, b) for a, b in zip(v, self.particular)])
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -568,24 +528,24 @@ def kernel(m: Matrix) -> Subspace:
 
 
 def solve(m: Matrix, b):
-    """All solutions of m x = b, or None when the system is infeasible."""
+    """All solutions of m x = b, or None when the system is infeasible.
+
+    The particular solution is read off the RREF of [m | b], with every free
+    variable 0; the directions are `kernel(m)`.
+    """
     f = m.field
     b = [f.coerce(x) for x in b]
     if len(b) != m.nrows:
         raise ShapeMismatchError("rhs length != row count")
     nc = m.ncols
     rows = [list(r) + [bv] for r, bv in zip(m.rows, b)]
-    if not rows:
-        return AffineSubspace(tuple([f.zero] * nc), Subspace.full(f, nc))
     pivots = _rref_rows(f, rows)
     if pivots and pivots[-1] == nc:
         return None
     particular = [f.zero] * nc
-    for i, pc in enumerate(pivots):
-        particular[pc] = rows[i][nc]
-    body = [row[:nc] for row in rows[: len(pivots)]]
-    kb = _kernel_basis_from_rref(f, body, pivots, nc)
-    return AffineSubspace(tuple(particular), Subspace(f, nc, kb))
+    for row, pc in zip(rows, pivots):
+        particular[pc] = row[nc]
+    return AffineSubspace(tuple(particular), kernel(m))
 
 
 # ---------------------------------------------------------------------------
@@ -613,25 +573,14 @@ def kernel_from_rows(field, ncols, sparse_rows):
         basis = _kernel_modp(rows, ncols, field.p)
     else:
         basis = _kernel_q(rows, ncols)
-    dense = [[field.zero] * ncols for _ in basis]
-    for row, vec in zip(dense, basis):
+    dense = []
+    for vec in basis:
+        row = [field.zero] * ncols
         for c, v in vec.items():
             row[c] = v
-    return Subspace(field, ncols, dense)
-
-
-def _kernel_pure(field, ncols, sparse_rows):
-    """Dense exact Gauss-Jordan kernel: the reference the engine is tested against."""
-    zero = field.zero
-    dense = []
-    for rd in sparse_rows:
-        row = [zero] * ncols
-        for c, v in rd.items():
-            row[c] = field.add(row[c], field.coerce(v))
-        dense.append(row)
-    pivots = _rref_rows(field, dense)
-    basis = _kernel_basis_from_rref(field, dense[: len(pivots)], pivots, ncols)
-    return Subspace(field, ncols, basis)
+        dense.append(tuple(row))
+    # the engine's vectors come in free-column order, each with its leading 1 there
+    return Subspace._canonical(field, ncols, dense, [min(vec) for vec in basis])
 
 
 def _distinct_rows(field, sparse_rows):

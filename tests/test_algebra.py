@@ -21,6 +21,7 @@ from bicompat.algebra import (
     find_units,
     is_associative,
     is_idempotent_algebra,
+    matrix_inverse,
     multiply,
     product_from_json,
     product_to_json,
@@ -33,7 +34,7 @@ from bicompat.builders import (
     rectangular_band_algebra,
     zero_algebra,
 )
-from bicompat.linalg import GF, QQ, ShapeMismatchError, Subspace
+from bicompat.linalg import GF, QQ, LinalgError, Matrix, ShapeMismatchError, Subspace, rref
 
 BAND22 = rectangular_band_algebra(BandSpec(2, 2))
 M2Q = matrix_algebra(2, QQ)
@@ -193,8 +194,6 @@ def test_center_contains_two_sided_units():
 
 
 def test_transport_preserves_associativity():
-    from bicompat.linalg import Matrix
-
     g = Matrix(QQ, [[1, 1, 0], [0, 1, 0], [2, 0, 1]])
     alg, star, _ = example_3dim()
     moved = transport_product(star, g)
@@ -204,6 +203,29 @@ def test_transport_preserves_associativity():
     assert not is_associative(transport_product(bad, g))
     with pytest.raises(ShapeMismatchError):
         transport_product(bad, Matrix(QQ, [[1, 0], [0, 1]]))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+def test_matrix_inverse(field):
+    rng = random.Random(55 + field.characteristic)
+    seen = set()
+    for _ in range(60):
+        n = rng.randrange(0, 5)
+        g = Matrix(field, [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(n)])
+        eye = Matrix.identity(field, n)
+        invertible = rref(g)[1] == n
+        if invertible:
+            ginv = matrix_inverse(g)
+            assert g.mul(ginv) == eye and ginv.mul(g) == eye
+        else:
+            with pytest.raises(LinalgError):
+                matrix_inverse(g)
+        seen.add(invertible)
+    assert seen == {True, False}
+    with pytest.raises(LinalgError):
+        matrix_inverse(Matrix(field, [[1, 2], [2, 4]]))
+    with pytest.raises(ShapeMismatchError):
+        matrix_inverse(Matrix(field, [[1, 0]]))
 
 
 def test_product_flatten_roundtrip():

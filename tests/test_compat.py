@@ -4,6 +4,7 @@ from collections import defaultdict
 from fractions import Fraction
 
 import pytest
+from _reference import kernel_pure
 
 from bicompat.algebra import (
     Endomorphism,
@@ -48,7 +49,7 @@ from bicompat.compat import (
     solve_linear,
     sum_product,
 )
-from bicompat.linalg import GF, QQ, Matrix, _kernel_pure
+from bicompat.linalg import GF, QQ, Matrix
 from bicompat.suite import builder_zoo, rand_invertible, rand_subspace_member, rand_vector
 
 
@@ -428,13 +429,13 @@ def _row_builder_inputs(field):
 
 
 def _kernel_of_columns(field, ncols, column):
-    """_kernel_pure of the system whose column c is the {row key: value} map column(c)."""
+    """kernel_pure of the system whose column c is the {row key: value} map column(c)."""
     rows = defaultdict(dict)
     for c in range(ncols):
         for key, v in column(c).items():
             if v != field.zero:
                 rows[key][c] = v
-    return _kernel_pure(field, ncols, list(rows.values()))
+    return kernel_pure(field, ncols, list(rows.values()))
 
 
 def _unit(field, size, c):

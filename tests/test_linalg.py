@@ -1,10 +1,13 @@
+import ast
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from _reference import kernel_pure
 
 from bicompat import linalg
 from bicompat.linalg import (
@@ -14,8 +17,8 @@ from bicompat.linalg import (
     LinalgError,
     Matrix,
     Scalar,
+    ShapeMismatchError,
     Subspace,
-    _kernel_pure,
     kernel,
     kernel_from_rows,
     rref,
@@ -114,6 +117,14 @@ def test_solve_examples():
     assert sol.particular == (Fraction(2), Fraction(0))
     assert sol.directions.basis == ((Fraction(1), Fraction(-1)),)
     assert sol.member([1, 1])
+    with pytest.raises(ShapeMismatchError):
+        sol.member([1, 1, 99])
+    with pytest.raises(LinalgError):
+        sol.member([2, 0, "x"])
+    with pytest.raises(LinalgError):
+        sol.member([2, "x"])
+    with pytest.raises(TypeError):
+        sol.member([2, None])
 
     assert solve(Matrix(QQ, [[0]]), [1]) is None
 
@@ -203,6 +214,46 @@ def test_subspace_ops_congruent_with_membership(field):
         assert inter.dim + total.dim == s1.dim + s2.dim
 
 
+@pytest.mark.parametrize("field", FIELDS + [GF(2**61 - 1)])
+def test_solve_properties(field):
+    rng = random.Random(2024 + field.characteristic)
+    for _ in range(60):
+        nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 6)
+        m = rand_matrix(rng, field, nrows, ncols)
+        if rng.random() < 0.5:
+            b = m.matvec([rng.randrange(-3, 4) for _ in range(ncols)])
+        else:
+            b = [field.coerce(rng.randrange(-3, 4)) for _ in range(nrows)]
+        sol = solve(m, b)
+        reduced, rank = rref(m)
+        _, rank_aug = rref(Matrix(field, [row + (bv,) for row, bv in zip(m.rows, b)]))
+        assert (sol is None) == (rank_aug > rank)
+        if sol is None:
+            continue
+        assert m.matvec(sol.particular) == b
+        pivots = {next(c for c, v in enumerate(row) if v != field.zero) for row in reduced.rows[:rank]}
+        assert all(v == field.zero for c, v in enumerate(sol.particular) if c not in pivots)
+        ref = kernel_pure(field, ncols, [dict(enumerate(row)) for row in m.rows])
+        assert (sol.directions.basis, sol.directions.pivots) == (ref.basis, ref.pivots)
+
+
+def test_private_linalg_names_stay_in_linalg():
+    # The canonical-form helpers are linalg's own: other modules use its public API.
+    offenders = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("linalg", "bicompat.linalg"):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "linalg":
+                names = [node.attr]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in names if name.startswith("_")]
+    assert not offenders, offenders
+
+
 def rand_sparse_system(rng, field, nrows, ncols, width, raw=False):
     """Random {col: coeff} rows with exact and rescaled duplicates mixed in.
 
@@ -234,16 +285,24 @@ def rand_sparse_system(rng, field, nrows, ncols, width, raw=False):
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(32003), GF(2147483659)])
 def test_fast_kernel_matches_pure(field):
     rng = random.Random(31337 + field.characteristic)
+    systems = [(0, []), (0, [{}, {}]), (3, [{}, {}]), (3, [{1: 0}, {}])]
     for raw in (False, True):
         for nrows, ncols, width in [(260, 150, 3)] + [(rng.randrange(1, 40), rng.randrange(1, 30), 4) for _ in range(40)]:
-            rows = rand_sparse_system(rng, field, nrows, ncols, width, raw)
-            assert kernel_from_rows(field, ncols, rows) == _kernel_pure(field, ncols, rows)
+            systems.append((ncols, rand_sparse_system(rng, field, nrows, ncols, width, raw)))
+    for ncols, rows in systems:
+        ker, ref = kernel_from_rows(field, ncols, rows), kernel_pure(field, ncols, rows)
+        # the engine's basis is taken as it is: it must already be the canonical one
+        assert ker == ref
+        assert (ker.basis, ker.pivots) == (ref.basis, ref.pivots)
+        assert all(type(v) is type(field.one) for row in ker.basis for v in row)
+        rebuilt = Subspace(field, ncols, ker.basis)
+        assert (rebuilt.basis, rebuilt.pivots) == (ker.basis, ker.pivots)
 
 
 def test_fast_kernel_fraction_rows():
     rows = [{0: Fraction(1, 2), 1: Fraction(1, 3)}, {2: Fraction(2, 7), 3: Fraction(-1, 7)}]
     ker = kernel_from_rows(QQ, 4, rows)
-    assert ker == _kernel_pure(QQ, 4, rows)
+    assert ker == kernel_pure(QQ, 4, rows)
     assert ker.dim == 2
 
 
@@ -266,7 +325,7 @@ def test_kernel_crt_lifts_tall_answers(monkeypatch):
     rows = [{0: 999983, 1: -1000003, 2: 3}, {1: 65537, 2: -65539, 3: 1}, {0: 1, 3: Fraction(1, 70001)}]
     used = count_primes(monkeypatch)
     ker = kernel_from_rows(QQ, 5, rows)
-    assert ker == _kernel_pure(QQ, 5, rows)
+    assert ker == kernel_pure(QQ, 5, rows)
     assert max(max(abs(v.numerator), v.denominator) for row in ker.basis for v in row) > 2**16
     assert len(used) >= 2
 
@@ -283,7 +342,7 @@ def test_kernel_crt_lifts_tall_answers(monkeypatch):
 )
 def test_kernel_discards_unlucky_prime(monkeypatch, rows, ncols):
     used = count_primes(monkeypatch)
-    assert kernel_from_rows(QQ, ncols, rows) == _kernel_pure(QQ, ncols, rows)
+    assert kernel_from_rows(QQ, ncols, rows) == kernel_pure(QQ, ncols, rows)
     assert used[0] == 2**31 - 1 and len(used) >= 2
 
 
