@@ -5,9 +5,10 @@ concatenation; the non-unital algebra is the span of the nonempty words.
 Star maps assign a zero-constant-term polynomial to every ordered pair of
 letters; the ones satisfying the compatibility condition extend to bilinear
 products on the whole algebra.  All identity checking is truncated only in
-which instances are enumerated: every value is computed exactly, no term is
-ever dropped, except in `truncated_centroid_dim`, which works in the
-quotient by words of degree above the cap.
+which instances are enumerated: every value is integer-scaled, still exact
+(the star images times the lcm of their denominators over Q, residues over
+F_p), and no term is ever dropped, except in `truncated_centroid_dim`, which
+works in the quotient by words of degree above the cap.
 """
 
 from __future__ import annotations
@@ -42,9 +43,12 @@ class WrongVariableCountError(FreeAlgebraError):
 
 
 # Input budgets: a star map document has at most MAX_LETTERS variables (an
-# algebra document's MAX_DIM), a truncated check at most MAX_WORD_TRIPLES triples.
+# algebra document's MAX_DIM), a truncated check at most MAX_WORD_TRIPLES triples,
+# a truncated centroid at most MAX_CENTROID_CARRIER words or monomials: with c
+# of them there are at most c^2 unknowns and about c^3 equations.
 MAX_LETTERS = 32
 MAX_WORD_TRIPLES = 2**20
+MAX_CENTROID_CARRIER = 64
 
 
 def _check_alphabet(alphabet):
@@ -231,10 +235,30 @@ class StarWitness:
     rhs: NCPoly
 
 
-class StarMap:
-    """Assignment (x, y) -> polynomial with zero constant term, for letters x, y."""
+def _scaled(*term_dicts):
+    """(s, dicts): the values of every term dict times s, as ints.
 
-    __slots__ = ("field", "alphabet", "table", "_verdict")
+    s is the positive lcm of the denominators over Q; over F_p the values are
+    residues, ints with denominator 1, so s = 1.
+    """
+    s = math.lcm(*(v.denominator for t in term_dicts for v in t.values()))
+    return s, [{w: v.numerator * (s // v.denominator) for w, v in t.items()} for t in term_dicts]
+
+
+def _unscaled(sm, terms, scale):
+    """The NCPoly with the field values terms / scale."""
+    f = sm.field
+    return NCPoly._clean(f, sm.alphabet, {w: f.div(f.coerce(v), scale) for w, v in terms.items()})
+
+
+class StarMap:
+    """Assignment (x, y) -> polynomial with zero constant term, for letters x, y.
+
+    `_ints` holds the images times `_scale` as {word: int} dicts (see
+    `_scaled`): the table that the extension and the truncated checks evaluate on.
+    """
+
+    __slots__ = ("field", "alphabet", "table", "_scale", "_ints", "_verdict")
 
     def __init__(self, field, alphabet, table):
         self.field = field
@@ -253,6 +277,8 @@ class StarMap:
                     raise NonzeroConstantTermError(f"image of ({x},{y}) has a constant term")
                 fixed[(x, y)] = poly
         self.table = fixed
+        self._scale, ints = _scaled(*(p.terms for p in fixed.values()))
+        self._ints = dict(zip(fixed, ints))
         self._verdict = None
 
     def image(self, x, y):
@@ -273,13 +299,14 @@ class StarMap:
 
 def _star_condition(sm: StarMap):
     # sum_v L_v . (v star z) and sum_u (x star u) . R_u, for x star y = sum_v L_v . v
-    # and y star z = sum_u u . R_u, are the extension on (x star y, z) and (x, y star z)
-    f, table = sm.field, sm.table
+    # and y star z = sum_u u . R_u, are the extension on (x star y, z) and (x, y star z);
+    # both have degree 2 in the integer table, so they compare at scale s^2
+    ints, p = sm._ints, sm.field.characteristic
     for x, y, z in itertools.product(sm.alphabet, repeat=3):
-        lhs = _extend_terms(f, table, table[(x, y)].terms, {z: f.one})
-        rhs = _extend_terms(f, table, {x: f.one}, table[(y, z)].terms)
+        lhs = _extend_terms(ints, p, ints[(x, y)], {z: 1})
+        rhs = _extend_terms(ints, p, {x: 1}, ints[(y, z)])
         if lhs != rhs:
-            return StarWitness((x, y, z), *(NCPoly._clean(f, sm.alphabet, t) for t in (lhs, rhs)))
+            return StarWitness((x, y, z), *(_unscaled(sm, t, sm._scale**2) for t in (lhs, rhs)))
     return None
 
 
@@ -288,25 +315,26 @@ def star_condition(sm: StarMap):
     return sm.condition_witness()
 
 
-def _extend_words(table, wa, wb):
+def _extend_words(ints, wa, wb):
     """Terms of wa[:-1] . S(wa[-1], wb[0]) . wb[1:]; S's words never collide."""
     pre, post = wa[:-1], wb[1:]
-    return {pre + w + post: v for w, v in table[(wa[-1], wb[0])].terms.items()}
+    return {pre + w + post: v for w, v in ints[(wa[-1], wb[0])].items()}
 
 
-def _extend_terms(f, table, a, b):
-    """Terms of the bilinear extension on term dicts a and b, zeros dropped."""
+def _extend_terms(ints, p, a, b):
+    """Terms of the bilinear extension on int term dicts a and b, zeros dropped.
+
+    Values come from the integer table `ints` and are reduced mod p when p > 0.
+    """
     out = {}
     for wa, ca in a.items():
         for wb, cb in b.items():
-            c = f.mul(ca, cb)
-            for w, v in _extend_words(table, wa, wb).items():
-                nv = f.add(out.get(w, f.zero), f.mul(c, v))
-                if nv == f.zero:
-                    out.pop(w, None)
-                else:
-                    out[w] = nv
-    return out
+            c = ca * cb
+            for w, v in _extend_words(ints, wa, wb).items():
+                out[w] = out.get(w, 0) + c * v
+    if p:
+        return {w: r for w, v in out.items() if (r := v % p)}
+    return {w: v for w, v in out.items() if v}
 
 
 def extend_star(sm: StarMap, a: NCPoly, b: NCPoly) -> NCPoly:
@@ -319,7 +347,10 @@ def extend_star(sm: StarMap, a: NCPoly, b: NCPoly) -> NCPoly:
         raise AlphabetMismatchError("right factor over wrong field or alphabet")
     if not (a.is_aug_zero() and b.is_aug_zero()):
         raise NonzeroConstantTermError("extension needs zero constant terms")
-    return NCPoly._clean(sm.field, sm.alphabet, _extend_terms(sm.field, sm.table, a.terms, b.terms))
+    sa, (ta,) = _scaled(a.terms)
+    sb, (tb,) = _scaled(b.terms)
+    terms = _extend_terms(sm._ints, sm.field.characteristic, ta, tb)
+    return _unscaled(sm, terms, sm._scale * sa * sb)
 
 
 # Identity instances for truncated verification.  With star = extension of sm
@@ -333,22 +364,23 @@ _STAR_IDENTITIES = {
 }
 
 
-def _word_triples(alphabet, cap):
-    """Word triples with deg a + deg b + deg c <= cap: by degrees, then words.
+def _word_runs(alphabet, cap):
+    """Word triples with deg a + deg b + deg c <= cap, by degrees, then words,
+    as runs (a, b, cs): the triples (a, b, c) for c in cs, in that order.
 
-    There are C(t-1, 2) k^t of total degree t; above MAX_WORD_TRIPLES in all
-    (always the case for cap > 200) this raises before enumerating.
+    There are C(t-1, 2) k^t triples of total degree t; above MAX_WORD_TRIPLES
+    in all (always the case for cap > 200) this raises before enumerating.
     """
     k = len(alphabet)
     if sum(math.comb(t - 1, 2) * k**t for t in range(3, min(cap, 201) + 1)) > MAX_WORD_TRIPLES:
         raise FreeAlgebraError(f"cap {cap}, {k} letters: over {MAX_WORD_TRIPLES} triples of words")
     words = {t: words_up_to(alphabet, t, start=t) for t in range(1, cap - 1)}
     return (
-        triple
+        (wa, wb, words[tc])
         for ta in range(1, cap - 1)
         for tb in range(1, cap - ta)
         for tc in range(1, cap - ta - tb + 1)
-        for triple in itertools.product(words[ta], words[tb], words[tc])
+        for wa, wb in itertools.product(words[ta], words[tb])
     )
 
 
@@ -364,17 +396,20 @@ def identity_witness_truncated(sm: StarMap, kind: str, total_degree_cap: int):
         raise FreeAlgebraError(f"unknown identity family {kind!r}")
     if sm.condition_witness() is not None:
         raise ConditionNotVerifiedError("star map fails the extension condition")
-    pairs, table = _STAR_IDENTITIES[kind], sm.table
-    for wa, wb, wc in _word_triples(sm.alphabet, total_degree_cap):
-        exprs = {
-            "G1": {w + wc: v for w, v in _extend_words(table, wa, wb).items()},
-            "G2": _extend_words(table, wa + wb, wc),
-            "G3": _extend_words(table, wa, wb + wc),
-            "G4": {wa + w: v for w, v in _extend_words(table, wb, wc).items()},
-        }
-        for lhs, rhs in pairs:
-            if exprs[lhs] != exprs[rhs]:
-                return TruncatedWitness(f"{lhs}={rhs}", (wa, wb, wc))
+    # every G has degree 1 in the integer table, so all compare at scale s
+    pairs, ints = _STAR_IDENTITIES[kind], sm._ints
+    for wa, wb, wcs in _word_runs(sm.alphabet, total_degree_cap):
+        ab = _extend_words(ints, wa, wb)
+        for wc in wcs:
+            exprs = {
+                "G1": {w + wc: v for w, v in ab.items()},
+                "G2": _extend_words(ints, wa + wb, wc),
+                "G3": _extend_words(ints, wa, wb + wc),
+                "G4": {wa + w: v for w, v in _extend_words(ints, wb, wc).items()},
+            }
+            for lhs, rhs in pairs:
+                if exprs[lhs] != exprs[rhs]:
+                    return TruncatedWitness(f"{lhs}={rhs}", (wa, wb, wc))
     return None
 
 
@@ -388,13 +423,15 @@ def verify_id_matching_truncated(sm: StarMap, degree: int):
     w = identity_witness_truncated(sm, "id-matching", cap)
     if w is not None:
         return w
-    # associativity of the extension: (a*b)*c = a*(b*c)
-    f, table = sm.field, sm.table
-    for wa, wb, wc in _word_triples(sm.alphabet, cap):
-        lhs = _extend_terms(f, table, _extend_words(table, wa, wb), {wc: f.one})
-        rhs = _extend_terms(f, table, {wa: f.one}, _extend_words(table, wb, wc))
-        if lhs != rhs:
-            return TruncatedWitness("(a*b)*c=a*(b*c)", (wa, wb, wc))
+    # associativity of the extension, (a*b)*c = a*(b*c): both sides at scale s^2
+    ints, p = sm._ints, sm.field.characteristic
+    for wa, wb, wcs in _word_runs(sm.alphabet, cap):
+        ab = _extend_words(ints, wa, wb)
+        for wc in wcs:
+            lhs = _extend_terms(ints, p, ab, {wc: 1})
+            rhs = _extend_terms(ints, p, {wa: 1}, _extend_words(ints, wb, wc))
+            if lhs != rhs:
+                return TruncatedWitness("(a*b)*c=a*(b*c)", (wa, wb, wc))
     return None
 
 
@@ -663,19 +700,30 @@ def truncated_centroid_dim(kind: str, alphabet, degree: int, field=QQ) -> int:
     Linear maps act on the span of words (or nonconstant monomials) of
     degree <= `degree`; the equations x.phi(y) = phi(x.y) = phi(x).y run
     over pairs with deg x + deg y <= `degree` and are compared in the
-    quotient that drops components of degree above the cap.
+    quotient that drops components of degree above the cap.  A carrier of
+    more than MAX_CENTROID_CARRIER elements is refused before it is built.
     """
     if degree < 2:
         raise FreeAlgebraError("degree cap must be at least 2")
+    if kind not in ("nc", "commutative"):
+        raise FreeAlgebraError(f"unknown centroid kind {kind!r}")
+    alphabet = _check_alphabet(alphabet)
+    if kind == "nc" and len(alphabet) < 2:
+        raise WrongVariableCountError("noncommutative centroid needs |X| >= 2")
+    k, count = len(alphabet), 0
+    for t in range(1, degree + 1):
+        count += k**t if kind == "nc" else math.comb(t + k - 1, t)
+        if count > MAX_CENTROID_CARRIER:
+            raise FreeAlgebraError(
+                f"{kind} centroid, {k} letters, degree {degree}: over {MAX_CENTROID_CARRIER} words or monomials"
+            )
     if kind == "nc":
-        if len(tuple(alphabet)) < 2:
-            raise WrongVariableCountError("noncommutative centroid needs |X| >= 2")
         carrier = words_up_to(alphabet, degree)
         combine = lambda w1, w2: w1 + w2
         deg = len
         strip_prefix = lambda t, w: t[len(w):] if t.startswith(w) and len(t) > len(w) else None
         strip_suffix = lambda t, w: t[: -len(w)] if t.endswith(w) and len(t) > len(w) else None
-    elif kind == "commutative":
+    else:
         carrier = monomials_up_to(alphabet, degree)
         combine = lambda e1, e2: tuple(a + b for a, b in zip(e1, e2))
         deg = sum
@@ -687,8 +735,6 @@ def truncated_centroid_dim(kind: str, alphabet, degree: int, field=QQ) -> int:
             return diff
 
         strip_suffix = strip_prefix
-    else:
-        raise FreeAlgebraError(f"unknown centroid kind {kind!r}")
     index = {w: i for i, w in enumerate(carrier)}
     size = len(carrier)
     rows = []

@@ -277,6 +277,19 @@ def test_free_verify_degree_and_letter_budgets(tmp_path, capsys):
         assert code == 2 and "at most 32" in err
 
 
+def test_free_centroid_dim_budget(capsys):
+    many = "".join(chr(ord("A") + i) for i in range(32))
+    for mode, letters, degree in (("nc", "xy", "40"), ("nc", many, "3"), ("commutative", many, "3")):
+        start = time.perf_counter()
+        argv = ("free", "centroid-dim", "--mode", mode, "--vars", letters, "--degree", degree)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and "over 64 words or monomials" in err and out == ""
+        assert time.perf_counter() - start < 1.0
+    argv = ("free", "centroid-dim", "--mode", "nc", "--vars", "xy", "--degree", "3", "--machine")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out.strip())["dim"] == 17
+
+
 def test_free_failing_star_exit_one(tmp_path, capsys):
     star = {"field": "Q", "vars": ["x", "y"], "table": {"x,y": [["x", "1"]]}}
     sf = tmp_path / "bad_star.json"

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bicompat.freealg import (
+    MAX_CENTROID_CARRIER,
     MAX_LETTERS,
     MAX_WORD_TRIPLES,
     AlphabetMismatchError,
@@ -325,13 +326,21 @@ def _outcome(fn, *args):
         return ConditionNotVerifiedError
 
 
+def _ratio(f, n, d):
+    return f.div(f.coerce(n), f.coerce(d))
+
+
 def _diff_stars(rng, f, letters):
     x, y = letters[0], letters[1]
 
-    values = [1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3)] if f == QQ else [1, 2, 3, 4]
+    # the same rationals in every field: residues of large height over F_(2^61 - 1)
+    values = [_ratio(f, n, d) for n, d in ((1, 1), (-1, 1), (2, 1), (3, 1), (1, 2), (-2, 3))]
 
     def poly(words):
         return NCPoly(f, letters, {w: rng.choice(values) for w in words})
+
+    def rational(w, n, d):
+        return NCPoly(f, letters, {w: _ratio(f, n, d)})
 
     some = ["".join(t) for n in (1, 2) for t in itertools.product(letters, repeat=n)]
     return [
@@ -341,22 +350,34 @@ def _diff_stars(rng, f, letters):
         right_zero_star(f, letters),
         mutation_star(f, letters, poly([x + y])),
         mutation_star(f, letters, poly(["", y, x + y])),  # constant term, seeded (rational) coefficients
+        mutation_star(f, letters, rational("", 1, 2).add(rational(y, 1, 3))),  # coprime denominators
         mutation_star(f, letters, poly(rng.sample(some, 2))),
         StarMap(f, letters, {(x, x): NCPoly.var(f, letters, y)}),
         StarMap(f, letters, {(x, y): NCPoly.var(f, letters, x)}),  # fails the condition
+        StarMap(f, letters, {(x, y): rational(x, 1, 2), (y, x): rational(y, 2, 3)}),  # fails, rational witness
         StarMap(f, letters, {(u, v): poly(rng.sample(some, 2)) for u in letters for v in letters}),
     ]
 
 
 @pytest.mark.parametrize(
     "field, letters, cap",
-    [(QQ, ("x", "y"), 5), (GF(5), ("x", "y"), 5), (QQ, ("x", "y", "z"), 4), (GF(5), ("x", "y", "z"), 4)],
-    ids=["Q-2", "F5-2", "Q-3", "F5-3"],
+    [
+        (QQ, ("x", "y"), 5),
+        (GF(5), ("x", "y"), 5),
+        (GF(2**61 - 1), ("x", "y"), 5),
+        (QQ, ("x", "y", "z"), 4),
+        (GF(5), ("x", "y", "z"), 4),
+    ],
+    ids=["Q-2", "F5-2", "F2^61-1-2", "Q-3", "F5-3"],
 )
 def test_truncated_evaluator_matches_reference(field, letters, cap):
     rng = random.Random(cap * len(letters) + (field != QQ))
     witnesses = raised = 0
-    for sm in _diff_stars(rng, field, letters):
+    stars = _diff_stars(rng, field, letters)
+    if field == QQ:  # image denominators 2 and 3 in one star: its integer table has scale 6
+        scales = [math.lcm(*(v.denominator for p in sm.table.values() for v in p.terms.values())) for sm in stars]
+        assert max(scales) >= 6
+    for sm in stars:
         got = star_condition(sm)
         assert (got and (got.triple, got.lhs, got.rhs)) == _ref_condition(sm)
         for kind in _REF_IDENTITIES:
@@ -371,9 +392,17 @@ def test_truncated_evaluator_matches_reference(field, letters, cap):
             continue
         words = ["".join(t) for n in (1, 2, 3) for t in itertools.product(letters, repeat=n)]
         for _ in range(4):
-            a, b = (NCPoly(field, letters, {w: rng.randrange(-3, 4) for w in rng.sample(words, 3)}) for _ in "ab")
+            a, b = (
+                NCPoly(field, letters, {w: _ratio(field, rng.randrange(-3, 4), rng.choice((1, 2, 3, 7))) for w in ws})
+                for ws in (rng.sample(words, 3), rng.sample(words, 3))
+            )
             assert extend_star(sm, a, b) == _ref_extend(sm, a, b)
-    assert witnesses >= 4 and raised >= 1
+        # x * xy = S(x, x) . y and xx * y = x . S(x, y) meet in xxy for the concatenation
+        # stars, where their coefficients 1 and -1 cancel
+        a = NCPoly(field, letters, {"x": 1, "xx": -1})
+        b = NCPoly(field, letters, {"xy": 1, "y": 1})
+        assert extend_star(sm, a, b) == _ref_extend(sm, a, b)
+    assert witnesses >= 4 and raised >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +450,23 @@ def test_truncated_centroid_validations():
         truncated_centroid_dim("nc", ("x",), 3)
     with pytest.raises(Exception):
         truncated_centroid_dim("nc", X, 1)
+    with pytest.raises(FreeAlgebraError, match="unknown centroid kind"):
+        truncated_centroid_dim("free", X, 3)
+
+
+def test_truncated_centroid_carrier_budget():
+    # nc on x, y to degree 5 has 62 words; to degree 6, 126
+    assert len(words_up_to(X, 5)) <= MAX_CENTROID_CARRIER < len(words_up_to(X, 6))
+    assert truncated_centroid_dim("nc", X, 5) == 65
+    for kind, letters, degree in (
+        ("nc", X, 6),
+        ("commutative", ("x",), MAX_CENTROID_CARRIER + 1),
+        ("commutative", ("x",), 10**9),
+        ("commutative", tuple("abcdefghij"), 2),  # 10 + 55 monomials
+        ("nc", tuple(chr(ord("A") + i) for i in range(MAX_LETTERS)), 2),
+    ):
+        with pytest.raises(FreeAlgebraError, match=f"over {MAX_CENTROID_CARRIER} words or monomials"):
+            truncated_centroid_dim(kind, letters, degree)
 
 
 # ---------------------------------------------------------------------------
