@@ -89,14 +89,13 @@ class Product:
         """Inverse of flatten(): vec has length dim**3, layout (i*dim + j)*dim + k."""
         if len(vec) != dim**3:
             raise ShapeMismatchError("flat coefficient vector has wrong length")
-        triples = []
+        # zeros of the field's exact types are skipped; __init__ coerces the rest once
+        exact = (int,) if field.characteristic else (int, Fraction)
+        tables = {}
         for idx, v in enumerate(vec):
-            v = field.coerce(v)
-            if v != field.zero:
-                k = idx % dim
-                ij = idx // dim
-                triples.append((ij // dim, ij % dim, k, v))
-        return cls.from_triples(dim, field, triples)
+            if v or type(v) not in exact:
+                tables.setdefault((idx // (dim * dim), idx // dim % dim), {})[idx % dim] = v
+        return cls(dim, field, tables)
 
     def table(self, i, j):
         return self.tables.get((i, j), {})

@@ -180,7 +180,7 @@ class ProductSpace:
 
     def basis_products(self):
         n = self.base.dim
-        return [Product.from_flat(n, self.base.field, list(row)) for row in self.space.basis]
+        return [Product.from_flat(n, self.base.field, row) for row in self.space.basis]
 
     def contains(self, star: Product):
         _check_pair(star, self.base)

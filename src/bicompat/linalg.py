@@ -8,15 +8,14 @@ basis, so subspace equality is entrywise comparison of bases.
 Spanning sets are canonicalized by one exact dense Gauss-Jordan,
 `_rref_rows`, which serves the `Subspace` constructor, `rref` and the
 particular solution of `solve`.  Every kernel comes from one sparse modular
-engine: elimination modulo a prime, and over Q rational reconstruction from
-several primes followed by an exact certificate.  Its basis is canonical
-and certified when it is built, so it is handed to `Subspace` as it is,
-without a second check.
+engine: kernel-update elimination modulo a prime, and over Q rational
+reconstruction from several primes followed by an exact certificate.  The
+basis it keeps is the canonical one, certified when it is built, so it is
+handed to `Subspace` as it is, without a second check.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import re
 from dataclasses import dataclass
@@ -550,12 +549,12 @@ def solve(m: Matrix, b):
 
 # ---------------------------------------------------------------------------
 # Kernels.  One sparse modular engine serves every system: rows are made
-# primitive and deduplicated, eliminated modulo a prime, and the kernel is
-# read off by back-substitution.  Over Q the residues of several 31-bit
-# primes are lifted by CRT and rational reconstruction, and nothing is
-# returned until every vector annihilates every row exactly.  The k
-# certified vectors are RREF-shaped, hence independent, and k = dim ker_p >=
-# dim ker_Q, so they are the canonical basis of ker_Q.
+# primitive and deduplicated, and modulo a prime each one updates a kernel
+# basis kept in RREF shape.  Over Q the residues of several 31-bit primes
+# are lifted by CRT and rational reconstruction, and nothing is returned
+# until every vector annihilates every row exactly.  The k certified
+# vectors are RREF-shaped, hence independent, and k = dim ker_p >= dim
+# ker_Q, so they are the canonical basis of ker_Q.
 
 
 def kernel_from_rows(field, ncols, sparse_rows):
@@ -573,11 +572,11 @@ def kernel_from_rows(field, ncols, sparse_rows):
         basis = _kernel_modp(rows, ncols, field.p)
     else:
         basis = _kernel_q(rows, ncols)
-    dense = []
+    dense, shared = [], {}
     for vec in basis:
         row = [field.zero] * ncols
         for c, v in vec.items():
-            row[c] = v
+            row[c] = shared.setdefault(v, v)  # a basis holds each distinct value once
         dense.append(tuple(row))
     # the engine's vectors come in free-column order, each with its leading 1 there
     return Subspace._canonical(field, ncols, dense, [min(vec) for vec in basis])
@@ -593,80 +592,74 @@ def _distinct_rows(field, sparse_rows):
     exact = (int,) if p else (int, Fraction)
     seen = set()
     for rd in sparse_rows:
-        items = []
-        for c, v in sorted(rd.items()):
-            # field.coerce is costly, and most values are exact already
-            if type(v) not in exact:
-                v = field.coerce(v)
-            if p:
-                v %= p
-            if v:
-                items.append((c, v))
+        # zeros of the exact types go now; any other value is coerced (and checked) below
+        items = [(c, v) for c, v in rd.items() if v or type(v) not in exact]
+        items.sort()
+        if not all([type(v) is int for _, v in items]):
+            # field.coerce is costly: only values of other types go through it
+            items = [(c, v if type(v) in exact else field.coerce(v)) for c, v in items]
+            if not p:
+                den = math.lcm(*[v.denominator for _, v in items])
+                items = [(c, v.numerator * (den // v.denominator)) for c, v in items if v]
+        if p:
+            items = [(c, r) for c, v in items if (r := v % p)]
         if not items:
             continue
-        if p:
-            inv = pow(items[0][1], -1, p)
-            row = tuple((c, v * inv % p) for c, v in items)
-        else:
-            den = math.lcm(*(v.denominator for _, v in items))
-            ints = [v.numerator * (den // v.denominator) for _, v in items]
-            g = math.gcd(*ints)
-            if ints[0] < 0:
+        lead = items[0][1]
+        if p and lead != 1:
+            inv = pow(lead, -1, p)
+            items = [(c, v * inv % p) for c, v in items]
+        elif not p:
+            g = math.gcd(*[v for _, v in items])
+            if lead < 0:
                 g = -g
-            row = tuple((c, x // g) for (c, _), x in zip(items, ints))
-        seen.add(row)
+            if g != 1:
+                items = [(c, v // g) for c, v in items]
+        seen.add(tuple(items))
     return sorted(seen, key=lambda r: (len(r), r))
 
 
 def _kernel_modp(rows, ncols, p):
     """Canonical RREF basis of the kernel mod p, as {col: residue} rows.
 
-    Each pivot row is monic at its largest column, so reducing by pivots
-    from the largest column down never brings an eliminated pivot back.
-    Back-substitution then writes each pivot variable as a combination of
-    free ones to its left: the basis vector of free column f has its
-    leading 1 at f and vanishes at every other free column, which is RREF.
+    Kernel-update elimination: `vecs` spans the kernel of the rows so far,
+    one vector per free column f, with 1 at f, 0 at the other free columns
+    and pivot entries right of f.  A row r is redundant when every
+    s_f = r . vecs[f] is 0.  Otherwise the largest such g becomes a pivot:
+    s_f/s_g times vecs[g] is subtracted from every other vecs[f] and vecs[g]
+    goes, which keeps this shape.  The vectors left are the RREF basis.
     """
-    pivots = {}
+    vecs = {f: {f: 1} for f in range(ncols)}
+    # holders[c]: the free columns f with vecs[f][c] != 0, mapped to vecs[f]
+    holders = [{c: vecs[c]} for c in range(ncols)]
     for items in rows:
-        row = {}
-        for c, v in items:
-            if v % p:
-                row[c] = v % p
-        hits = [-c for c in row if c in pivots]
-        heapq.heapify(hits)
-        while hits:
-            pc = -heapq.heappop(hits)
-            f = row.get(pc)
-            if f is None:
+        s = {}
+        for c, a in items:
+            for f, vec in holders[c].items():
+                s[f] = s.get(f, 0) + a * vec[c]
+        g = -1
+        for f, v in s.items():
+            if f > g and v % p:
+                g = f
+        if g < 0:
+            continue
+        pivot = vecs.pop(g)
+        for c in pivot:
+            del holders[c][g]
+        inv = pow(s.pop(g), -1, p)
+        for f, v in s.items():
+            k = v * inv % p
+            if not k:
                 continue
-            for c, a in pivots[pc].items():
-                old = row.get(c)
-                if old is None:
-                    row[c] = -f * a % p
-                    if c in pivots:
-                        heapq.heappush(hits, -c)
-                elif (old - f * a) % p:
-                    row[c] = (old - f * a) % p
-                else:
-                    del row[c]
-        if row:
-            pc = max(row)
-            inv = pow(row[pc], -1, p)
-            pivots[pc] = {c: v * inv % p for c, v in row.items()}
-    expr = {}
-    for pc in sorted(pivots):
-        e = {}
-        for c, a in pivots[pc].items():
-            if c != pc:
-                for fc, b in expr.get(c, {c: 1}).items():
-                    e[fc] = (e.get(fc, 0) - a * b) % p
-        expr[pc] = {fc: b for fc, b in e.items() if b}
-    basis = {fc: {fc: 1} for fc in range(ncols) if fc not in expr}
-    for pc, e in expr.items():
-        for fc, b in e.items():
-            basis[fc][pc] = b
-    return list(basis.values())
+            vec = vecs[f]
+            for c, b in pivot.items():
+                if x := (vec.get(c, 0) - k * b) % p:
+                    vec[c] = x
+                    holders[c][f] = vec
+                elif c in vec:
+                    del vec[c]
+                    del holders[c][f]
+    return list(vecs.values())
 
 
 def _kernel_q(rows, ncols):

@@ -1,4 +1,7 @@
-"""Dense exact reference for the sparse kernel engine, used only by the tests."""
+"""References for the sparse kernel engine, used only by the tests: a dense
+exact Gauss-Jordan and the pivot-row form of modular elimination."""
+
+import heapq
 
 from bicompat.linalg import Matrix, Subspace, rref
 
@@ -22,3 +25,54 @@ def kernel_pure(field, ncols, sparse_rows):
             vec[pc] = field.neg(row[fcol])
         basis.append(vec)
     return Subspace(field, ncols, basis)
+
+
+def kernel_modp_pivot_rows(rows, ncols, p):
+    """Canonical RREF basis of the kernel mod p, as {col: residue} rows, by pivot rows.
+
+    Each pivot row is monic at its largest column, so reducing by pivots
+    from the largest column down never brings an eliminated pivot back.
+    Back-substitution then writes each pivot variable as a combination of
+    free ones to its left: the basis vector of free column f has its
+    leading 1 at f and vanishes at every other free column, which is RREF.
+    """
+    pivots = {}
+    for items in rows:
+        row = {}
+        for c, v in items:
+            if v % p:
+                row[c] = v % p
+        hits = [-c for c in row if c in pivots]
+        heapq.heapify(hits)
+        while hits:
+            pc = -heapq.heappop(hits)
+            f = row.get(pc)
+            if f is None:
+                continue
+            for c, a in pivots[pc].items():
+                old = row.get(c)
+                if old is None:
+                    row[c] = -f * a % p
+                    if c in pivots:
+                        heapq.heappush(hits, -c)
+                elif (old - f * a) % p:
+                    row[c] = (old - f * a) % p
+                else:
+                    del row[c]
+        if row:
+            pc = max(row)
+            inv = pow(row[pc], -1, p)
+            pivots[pc] = {c: v * inv % p for c, v in row.items()}
+    expr = {}
+    for pc in sorted(pivots):
+        e = {}
+        for c, a in pivots[pc].items():
+            if c != pc:
+                for fc, b in expr.get(c, {c: 1}).items():
+                    e[fc] = (e.get(fc, 0) - a * b) % p
+        expr[pc] = {fc: b for fc, b in e.items() if b}
+    basis = {fc: {fc: 1} for fc in range(ncols) if fc not in expr}
+    for pc, e in expr.items():
+        for fc, b in e.items():
+            basis[fc][pc] = b
+    return list(basis.values())

@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -231,6 +232,11 @@ def test_matrix_inverse(field):
 def test_product_flatten_roundtrip():
     p = BAND22.dot
     assert Product.from_flat(4, QQ, p.flatten()) == p
+    # zero entries of the exact types are skipped, any other value is coerced
+    assert Product.from_flat(1, GF(5), [5]) == Product.zero(1, GF(5))
+    for field, junk in ((QQ, False), (QQ, None), (GF(5), Fraction(0))):
+        with pytest.raises(TypeError):
+            Product.from_flat(1, field, [junk])
 
 
 def test_json_roundtrips():

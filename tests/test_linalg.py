@@ -7,9 +7,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from _reference import kernel_pure
+from _reference import kernel_modp_pivot_rows, kernel_pure
 
 from bicompat import linalg
+from bicompat.algebra import transport_product
+from bicompat.builders import BandSpec, matrix_algebra, rectangular_band_algebra
+from bicompat.compat import Kind, solve_linear
 from bicompat.linalg import (
     GF,
     QQ,
@@ -27,6 +30,7 @@ from bicompat.linalg import (
     subspace_member,
     subspace_sum,
 )
+from bicompat.suite import rand_invertible
 
 FIELDS = [QQ, GF(2), GF(3), GF(5)]
 
@@ -299,11 +303,98 @@ def test_fast_kernel_matches_pure(field):
         assert (rebuilt.basis, rebuilt.pivots) == (ker.basis, ker.pivots)
 
 
+ENGINE_PRIMES = [2, 5, 32003, 2**31 - 1]
+
+
+def raw_int_rows(rng, p, nrows, ncols, width):
+    """(col, int) rows in column order as the Q route hands them to the engine:
+    unreduced, of either sign, with zeros, multiples of p and empty rows."""
+    values = [0, 1, -1, 2, -3, p, -2 * p, p + 1, 3 * p - 1, -(2**40) - 7]
+    rows = []
+    for _ in range(nrows):
+        cols = sorted(rng.sample(range(ncols), min(ncols, rng.randrange(width + 1))))
+        rows.append(tuple((c, rng.choice(values)) for c in cols))
+    return rows
+
+
+def dense_int_rows(rng, nrows, ncols, rank=None):
+    """Dense integer rows; with `rank`, each row is a combination of `rank` fixed ones."""
+    if rank is None:
+        return [tuple((c, rng.randrange(-9, 10)) for c in range(ncols)) for _ in range(nrows)]
+    gens = dense_int_rows(rng, rank, ncols)
+    rows = []
+    for _ in range(nrows):
+        coeffs = [rng.randrange(-3, 4) for _ in gens]
+        rows.append(tuple((c, sum(k * g[c][1] for k, g in zip(coeffs, gens))) for c in range(ncols)))
+    return rows
+
+
+@pytest.mark.parametrize("p", ENGINE_PRIMES)
+def test_kernel_update_matches_pivot_rows(p):
+    # The kernel-update engine must return exactly the pivot-row engine's
+    # vectors: the same free columns, in the same order, with the same residues.
+    rng = random.Random(8080 + p)
+    field = GF(p)
+    systems = [([], 0), ([()], 0), ([], 4), ([(), ()], 4), ([((1, p),), ((0, -p), (2, 0))], 3)]
+    for raw in (False, True):
+        for nrows, ncols, width in [(260, 150, 3)] + [(rng.randrange(1, 40), rng.randrange(1, 30), 4) for _ in range(30)]:
+            rows = rand_sparse_system(rng, field, nrows, ncols, width, raw)
+            systems.append((linalg._distinct_rows(field, rows), ncols))
+    for _ in range(30):
+        ncols = rng.randrange(1, 25)
+        systems.append((raw_int_rows(rng, p, rng.randrange(60), ncols, 6), ncols))
+    systems += [
+        (dense_int_rows(rng, 8, 40), 40),  # wide
+        (dense_int_rows(rng, 120, 10), 10),  # tall
+        (dense_int_rows(rng, 150, 16, rank=5), 16),  # tall and mostly redundant
+    ]
+    for rows, ncols in systems:
+        assert linalg._kernel_modp(rows, ncols, p) == kernel_modp_pivot_rows(rows, ncols, p), (rows, ncols)
+
+
+def test_kernel_update_matches_pivot_rows_on_solve_rows(monkeypatch):
+    # The dense, overdetermined integer rows that solve_linear builds on base
+    # changes of M2 and band 2x2, as the Q route hands them to the engine.
+    captured = []
+    inner = linalg._kernel_modp
+
+    def capture(rows, ncols, p):
+        captured.append((rows, ncols))
+        return inner(rows, ncols, p)
+
+    monkeypatch.setattr(linalg, "_kernel_modp", capture)
+    rng = random.Random(2718)
+    for alg in (matrix_algebra(2, QQ), rectangular_band_algebra(BandSpec(2, 2), QQ)):
+        for kind in Kind:
+            dot = transport_product(alg.dot, rand_invertible(rng, QQ, alg.dim))
+            before = len(captured)
+            solve_linear(kind, dot)
+            rows, ncols = captured[before]
+            assert len(rows) > ncols
+            for p in ENGINE_PRIMES:
+                assert inner(rows, ncols, p) == kernel_modp_pivot_rows(rows, ncols, p), (kind, p)
+
+
 def test_fast_kernel_fraction_rows():
     rows = [{0: Fraction(1, 2), 1: Fraction(1, 3)}, {2: Fraction(2, 7), 3: Fraction(-1, 7)}]
     ker = kernel_from_rows(QQ, 4, rows)
     assert ker == kernel_pure(QQ, 4, rows)
     assert ker.dim == 2
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+def test_kernel_rows_check_zero_like_values(field):
+    # only int (and over Q Fraction) zeros are dropped unchecked: other values are coerced
+    junk = [False, None, 0.0] + ([] if field == QQ else [Fraction(0)])
+    for v in junk:
+        with pytest.raises(TypeError):
+            kernel_from_rows(field, 2, [{0: v}])
+    with pytest.raises(LinalgError):
+        kernel_from_rows(field, 2, [{0: ""}])
+    with pytest.raises(FieldMismatchError):
+        kernel_from_rows(field, 2, [{0: Scalar.of(GF(7) if field == QQ else QQ, 0)}])
+    zeros = [{0: 0, 1: "0"}, {1: Scalar.of(field, 0)}] + ([{0: Fraction(0)}] if field == QQ else [{0: 5}])
+    assert kernel_from_rows(field, 2, zeros) == Subspace.full(field, 2)
 
 
 def count_primes(monkeypatch):
