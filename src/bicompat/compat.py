@@ -20,7 +20,6 @@ linear space of coefficient tensors satisfying a notion against `dot`.
 from __future__ import annotations
 
 import enum
-from collections import defaultdict
 from dataclasses import dataclass
 
 from .algebra import (
@@ -166,7 +165,7 @@ def check_compatible_dual(star: Product, dot: Product) -> CompatReport:
     return report
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProductSpace:
     """All bilinear products satisfying a notion's identities against `base`."""
 
@@ -210,29 +209,35 @@ def _add_expression(rows, expr, t, i, n, sign):
     at basis triple (i, j, k) and output b_l, on the integer tables t of dot.
 
     The unknown X is the first factor of E1 and E4, the second of E2 and E3.
+    Rows are plain {col: int} dicts, handed to the engine unscaled.
     """
     nn = n * n
     if expr == E1:  # sum_m X[i][j][m] dot[m][k][l]
-        for j in range(n):
-            for m in range(n):
+        for m in range(n):
+            signed = [(kl, sign * v) for kl, v in t.tail[m]]
+            for j in range(n):
                 col = (i * n + j) * n + m
-                for kl, v in t.tail[m]:
-                    rows[j * nn + kl][col] += sign * v
+                for kl, v in signed:
+                    row = rows[j * nn + kl]
+                    row[col] = row.get(col, 0) + v
     elif expr == E2:  # sum_m dot[i][j][m] X[m][k][l]
         for jm, v in t.tail[i]:
             j, m = divmod(jm, n)
-            for kl in range(nn):
-                rows[j * nn + kl][m * nn + kl] += sign * v
+            v *= sign
+            for col, row in enumerate(rows[j * nn : (j + 1) * nn], m * nn):
+                row[col] = row.get(col, 0) + v
     elif expr == E3:  # sum_m dot[j][k][m] X[i][m][l]
         for m in range(n):
             for jk, v in t.out[m]:
-                for l in range(n):
-                    rows[jk + l][(i * n + m) * n + l] += sign * v
+                v *= sign
+                for col, row in enumerate(rows[jk : jk + n], (i * n + m) * n):
+                    row[col] = row.get(col, 0) + v
     else:  # E4: sum_m X[j][k][m] dot[i][m][l]
         for ml, v in t.tail[i]:
             m, l = divmod(ml, n)
-            for jk in range(0, nn * n, n):
-                rows[jk + l][jk + m] += sign * v
+            v *= sign
+            for col, row in zip(range(m, nn * n, n), rows[l::n]):
+                row[col] = row.get(col, 0) + v
 
 
 def solve_linear(kind: Kind, dot: Product) -> ProductSpace:
@@ -249,11 +254,11 @@ def solve_linear(kind: Kind, dot: Product) -> ProductSpace:
     rows = []
     for lhs, rhs in IDENTITIES[kind]:
         for i in range(n):
-            by_slot = defaultdict(lambda: defaultdict(int))
+            by_slot = [{} for _ in range(n**3)]
             for exprs, sign in ((lhs, 1), (rhs, -1)):
                 for expr in exprs:
                     _add_expression(by_slot, expr, t, i, n, sign)
-            rows += by_slot.values()
+            rows += filter(None, by_slot)
     return ProductSpace(dot, kind, kernel_from_rows(dot.field, n**3, rows))
 
 

@@ -548,13 +548,17 @@ def solve(m: Matrix, b):
 
 
 # ---------------------------------------------------------------------------
-# Kernels.  One sparse modular engine serves every system: rows are made
-# primitive and deduplicated, and modulo a prime each one updates a kernel
-# basis kept in RREF shape.  Over Q the residues of several 31-bit primes
-# are lifted by CRT and rational reconstruction, and nothing is returned
-# until every vector annihilates every row exactly.  The k certified
-# vectors are RREF-shaped, hence independent, and k = dim ker_p >= dim
-# ker_Q, so they are the canonical basis of ker_Q.
+# Kernels.  One sparse modular engine serves every system: rows are
+# deduplicated entry for entry but not rescaled, and modulo a prime each
+# one updates a kernel basis kept in RREF shape.  Over Q the residues of
+# several 31-bit primes are lifted by CRT and rational reconstruction, and
+# nothing is returned until every vector annihilates every row exactly.
+# The k certified vectors are RREF-shaped, hence independent, and
+# k = dim ker_p >= dim ker_Q, so they are the canonical basis of ker_Q.
+
+# Rationals of height <= 32, one object each process-wide (as CPython keeps
+# small ints): most basis entries are small, and answers are often held in bulk.
+_SMALL_Q = {v: v for v in {Fraction(a, b) for a in range(-32, 33) for b in range(1, 33)}}
 
 
 def kernel_from_rows(field, ncols, sparse_rows):
@@ -563,7 +567,9 @@ def kernel_from_rows(field, ncols, sparse_rows):
     A value is a Python int (exact in both characteristics, reduced mod p
     over F_p), a Fraction over Q, or anything `field.coerce` accepts.  Zero
     entries, empty rows, duplicate rows and rows at any nonzero scale are
-    all allowed: rows are normalized here, so builders hand them over raw.
+    all allowed, so builders hand rows over raw.  Exact duplicates are
+    dropped here; a row equal to another only up to scale goes to the
+    engine, where it costs one sparse dot product.
     """
     rows = _distinct_rows(field, sparse_rows)
     if not rows or ncols == 0:
@@ -572,7 +578,7 @@ def kernel_from_rows(field, ncols, sparse_rows):
         basis = _kernel_modp(rows, ncols, field.p)
     else:
         basis = _kernel_q(rows, ncols)
-    dense, shared = [], {}
+    dense, shared = [], {} if isinstance(field, PrimeField) else _SMALL_Q.copy()
     for vec in basis:
         row = [field.zero] * ncols
         for c, v in vec.items():
@@ -583,40 +589,29 @@ def kernel_from_rows(field, ncols, sparse_rows):
 
 
 def _distinct_rows(field, sparse_rows):
-    """Each nonzero row once up to scale, as (col, int) pairs, lightest first.
+    """Each nonzero row once, as its zero-free (col, int) pairs, lightest first.
 
-    Over Q a row is made primitive: integral, content 1, leading coefficient
-    positive.  Over F_p it is made monic.
+    Rows are not rescaled: int rows are taken as they are, other values are
+    coerced (so junk raises) and over Q cleared of denominators.  Only
+    exact duplicates go.  A prime dividing a row's content is just unlucky,
+    and `_kernel_q` discards it.
     """
     p = field.characteristic
     exact = (int,) if p else (int, Fraction)
-    seen = set()
+    seen = {}
     for rd in sparse_rows:
         # zeros of the exact types go now; any other value is coerced (and checked) below
-        items = [(c, v) for c, v in rd.items() if v or type(v) not in exact]
-        items.sort()
+        items = tuple([(c, v) for c, v in rd.items() if v or type(v) not in exact])
         if not all([type(v) is int for _, v in items]):
             # field.coerce is costly: only values of other types go through it
             items = [(c, v if type(v) in exact else field.coerce(v)) for c, v in items]
             if not p:
                 den = math.lcm(*[v.denominator for _, v in items])
-                items = [(c, v.numerator * (den // v.denominator)) for c, v in items if v]
-        if p:
-            items = [(c, r) for c, v in items if (r := v % p)]
-        if not items:
-            continue
-        lead = items[0][1]
-        if p and lead != 1:
-            inv = pow(lead, -1, p)
-            items = [(c, v * inv % p) for c, v in items]
-        elif not p:
-            g = math.gcd(*[v for _, v in items])
-            if lead < 0:
-                g = -g
-            if g != 1:
-                items = [(c, v // g) for c, v in items]
-        seen.add(tuple(items))
-    return sorted(seen, key=lambda r: (len(r), r))
+                items = [(c, v.numerator * (den // v.denominator)) for c, v in items]
+            items = tuple([(c, v) for c, v in items if v])
+        if items:
+            seen[items] = None
+    return sorted(seen, key=len)
 
 
 def _kernel_modp(rows, ncols, p):

@@ -389,6 +389,10 @@ def test_kernel_rows_check_zero_like_values(field):
     for v in junk:
         with pytest.raises(TypeError):
             kernel_from_rows(field, 2, [{0: v}])
+    # junk beside int entries is checked too
+    for row in ({0: 1, 1: None}, {0: 2, 1: False}, {0: 1, 1: 0.0}):
+        with pytest.raises(TypeError):
+            kernel_from_rows(field, 2, [row])
     with pytest.raises(LinalgError):
         kernel_from_rows(field, 2, [{0: ""}])
     with pytest.raises(FieldMismatchError):
@@ -429,6 +433,9 @@ def test_kernel_crt_lifts_tall_answers(monkeypatch):
         # the rank holds, but the kernel (2**31 - 1, 1) reduces to (0, 1):
         # its pivot moves right
         ([{0: 1, 1: -(2**31 - 1)}], 2),
+        # rows are not rescaled: the first row's content is 2**31 - 1, so
+        # modulo that prime the row is zero and the rank drops from 2 to 1
+        ([{0: 2**31 - 1, 1: 2 * (2**31 - 1)}, {1: 1, 2: 1}], 3),
     ],
 )
 def test_kernel_discards_unlucky_prime(monkeypatch, rows, ncols):
