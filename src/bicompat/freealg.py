@@ -1,7 +1,11 @@
-"""Noncommutative and commutative polynomial engines for free non-unital algebras.
+"""Noncommutative and commutative polynomials for free non-unital algebras.
 
-Words over a finite alphabet of single-letter variables multiply by
-concatenation; the non-unital algebra is the span of the nonempty words.
+There is one polynomial implementation, a map from monomials to nonzero
+coefficients, with two kinds of monomial: words over a finite alphabet of
+single-letter variables (`NCPoly`), which multiply by concatenation, and
+exponent tuples (`CPoly`), which multiply by adding entry by entry.  The
+non-unital algebras are the spans of the nonempty words and of the
+nonconstant monomials.
 Star maps assign a zero-constant-term polynomial to every ordered pair of
 letters; the ones satisfying the compatibility condition extend to bilinear
 products on the whole algebra.  All identity checking is truncated only in
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -62,27 +67,30 @@ def _check_alphabet(alphabet):
     return alphabet
 
 
-class NCPoly:
-    """Noncommutative polynomial: finite map word -> coefficient."""
+class _Poly:
+    """Polynomial over a field: a finite map monomial -> nonzero coefficient.
+
+    The subclasses fix the monomials: `_check_mono` validates one,
+    `_mono_mul` multiplies two, `_mono_deg` is the degree, `_unit` the
+    constant monomial and `_mono_str` prints one.
+    """
 
     __slots__ = ("field", "alphabet", "terms")
 
     def __init__(self, field, alphabet, terms=None):
         self.field = field
         self.alphabet = _check_alphabet(alphabet)
-        letters = set(self.alphabet)
         clean = {}
-        for w, v in (terms or {}).items():
-            if any(ch not in letters for ch in w):
-                raise FreeAlgebraError(f"word {w!r} uses letters outside the alphabet")
+        for m, v in (terms or {}).items():
+            self._check_mono(m)
             v = field.coerce(v)
             if v != field.zero:
-                clean[w] = v
+                clean[m] = v
         self.terms = clean
 
     @classmethod
     def _clean(cls, field, alphabet, terms):
-        """Trusted constructor: a checked alphabet and nonzero field values."""
+        """Trusted constructor: a checked alphabet, checked monomials and nonzero field values."""
         poly = cls.__new__(cls)
         poly.field, poly.alphabet, poly.terms = field, alphabet, terms
         return poly
@@ -91,83 +99,67 @@ class NCPoly:
     def zero(cls, field, alphabet):
         return cls(field, alphabet, {})
 
-    @classmethod
-    def word(cls, field, alphabet, w, coeff=1):
-        return cls(field, alphabet, {w: coeff})
-
-    @classmethod
-    def var(cls, field, alphabet, x):
-        return cls.word(field, alphabet, x)
-
     def _peer(self, other):
-        if not isinstance(other, NCPoly):
-            raise TypeError("expected an NCPoly")
+        if not isinstance(other, type(self)):
+            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
         if other.field != self.field:
             raise FieldMismatchError(f"{self.field} vs {other.field}")
         if other.alphabet != self.alphabet:
             raise AlphabetMismatchError(f"{self.alphabet} vs {other.alphabet}")
 
+    def _accumulate(self, terms, pairs):
+        """The polynomial `terms` plus the (monomial, value) pairs, zeros dropped; mutates `terms`."""
+        f = self.field
+        for m, v in pairs:
+            nv = f.add(terms.get(m, f.zero), v)
+            if nv == f.zero:
+                terms.pop(m, None)
+            else:
+                terms[m] = nv
+        return self._clean(f, self.alphabet, terms)
+
     def add(self, other):
         self._peer(other)
-        f = self.field
-        terms = dict(self.terms)
-        for w, v in other.terms.items():
-            nv = f.add(terms.get(w, f.zero), v)
-            if nv == f.zero:
-                terms.pop(w, None)
-            else:
-                terms[w] = nv
-        return NCPoly._clean(f, self.alphabet, terms)
+        return self._accumulate(dict(self.terms), other.terms.items())
 
     def sub(self, other):
-        return self.add(other.scale(other.field.neg(other.field.one)))
+        self._peer(other)
+        return self.add(other.scale(self.field.neg(self.field.one)))
 
     def scale(self, c):
         f = self.field
         c = f.coerce(c)
         if c == f.zero:
-            return NCPoly.zero(f, self.alphabet)
-        return NCPoly._clean(f, self.alphabet, {w: f.mul(c, v) for w, v in self.terms.items()})
+            return self._clean(f, self.alphabet, {})
+        return self._clean(f, self.alphabet, {m: f.mul(c, v) for m, v in self.terms.items()})
 
     def mul(self, other):
         self._peer(other)
-        f = self.field
-        terms = {}
-        for w1, v1 in self.terms.items():
-            for w2, v2 in other.terms.items():
-                w = w1 + w2
-                nv = f.add(terms.get(w, f.zero), f.mul(v1, v2))
-                if nv == f.zero:
-                    terms.pop(w, None)
-                else:
-                    terms[w] = nv
-        return NCPoly._clean(f, self.alphabet, terms)
-
-    def mul_word_left(self, w):
-        return NCPoly.word(self.field, self.alphabet, w).mul(self)
-
-    def mul_word_right(self, w):
-        return self.mul(NCPoly.word(self.field, self.alphabet, w))
+        mul, combine = self.field.mul, self._mono_mul
+        return self._accumulate(
+            {}, ((combine(m1, m2), mul(v1, v2)) for m1, v1 in self.terms.items() for m2, v2 in other.terms.items())
+        )
 
     def degree(self):
-        """Maximal word length, or None for the zero polynomial."""
-        return max(map(len, self.terms)) if self.terms else None
+        """Maximal monomial degree, or None for the zero polynomial."""
+        return max(map(self._mono_deg, self.terms), default=None)
 
     def constant_term(self):
-        return self.terms.get("", self.field.zero)
+        return self.terms.get(self._unit(), self.field.zero)
 
     def is_aug_zero(self):
-        return "" not in self.terms
+        return self._unit() not in self.terms
 
     def is_zero(self):
         return not self.terms
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
+        deg = self._mono_deg
+        return sorted(self.terms.items(), key=lambda t: (deg(t[0]), t[0]))
 
     def __eq__(self, other):
         return (
-            isinstance(other, NCPoly)
+            isinstance(other, type(self))
             and other.field == self.field
             and other.alphabet == self.alphabet
             and other.terms == self.terms
@@ -180,11 +172,91 @@ class NCPoly:
         if not self.terms:
             return "0"
         bits = []
-        for w, v in self.sorted_terms():
-            s = self.field.to_str(v)
-            word = w if w else "1"
-            bits.append(word if s == "1" else f"{s}*{word}")
+        for m, v in self.sorted_terms():
+            mono, s = self._mono_str(m), self.field.to_str(v)
+            if not mono:
+                bits.append(s)
+            elif s == "1":
+                bits.append(mono)
+            else:
+                bits.append(f"{s}*{mono}")
         return " + ".join(bits)
+
+
+class NCPoly(_Poly):
+    """Noncommutative polynomial: finite map word -> coefficient."""
+
+    __slots__ = ()
+
+    _mono_mul = staticmethod(operator.add)
+    _mono_deg = staticmethod(len)
+
+    def _check_mono(self, w):
+        if not isinstance(w, str):
+            raise FreeAlgebraError(f"word {w!r} is not a string")
+        if any(ch not in self.alphabet for ch in w):
+            raise FreeAlgebraError(f"word {w!r} uses letters outside the alphabet")
+
+    def _unit(self):
+        return ""
+
+    def _mono_str(self, w):
+        return w or "1"
+
+    @classmethod
+    def word(cls, field, alphabet, w, coeff=1):
+        return cls(field, alphabet, {w: coeff})
+
+    @classmethod
+    def var(cls, field, alphabet, x):
+        return cls.word(field, alphabet, x)
+
+    def mul_word_left(self, w):
+        return self.word(self.field, self.alphabet, w).mul(self)
+
+    def mul_word_right(self, w):
+        return self.mul(self.word(self.field, self.alphabet, w))
+
+
+class CPoly(_Poly):
+    """Commutative polynomial: finite map exponent tuple -> coefficient."""
+
+    __slots__ = ()
+
+    _mono_deg = staticmethod(sum)
+
+    @staticmethod
+    def _mono_mul(e1, e2):
+        return tuple(map(operator.add, e1, e2))
+
+    def _check_mono(self, exps):
+        if not (
+            isinstance(exps, tuple)
+            and len(exps) == len(self.alphabet)
+            and all(isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in exps)
+        ):
+            raise FreeAlgebraError(f"bad exponent tuple {exps!r}")
+
+    def _unit(self):
+        return (0,) * len(self.alphabet)
+
+    def _mono_str(self, exps):
+        return "*".join(f"{x}^{k}" if k > 1 else x for x, k in zip(self.alphabet, exps) if k)
+
+    @classmethod
+    def one(cls, field, alphabet):
+        return cls(field, alphabet, {(0,) * len(tuple(alphabet)): 1})
+
+    @classmethod
+    def monomial(cls, field, alphabet, exps, coeff=1):
+        return cls(field, alphabet, {tuple(exps): coeff})
+
+    @classmethod
+    def var(cls, field, alphabet, x):
+        alphabet = tuple(alphabet)
+        exps = [0] * len(alphabet)
+        exps[alphabet.index(x)] = 1
+        return cls.monomial(field, alphabet, exps)
 
 
 def nc_add(p: NCPoly, q: NCPoly) -> NCPoly:
@@ -469,127 +541,7 @@ def mutation_star(field, alphabet, p: NCPoly) -> StarMap:
 
 
 # ---------------------------------------------------------------------------
-# Commutative polynomials.
-
-
-class CPoly:
-    """Commutative polynomial: finite map exponent tuple -> coefficient."""
-
-    __slots__ = ("field", "alphabet", "terms")
-
-    def __init__(self, field, alphabet, terms=None):
-        self.field = field
-        self.alphabet = _check_alphabet(alphabet)
-        k = len(self.alphabet)
-        clean = {}
-        for exps, v in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != k or any(e < 0 for e in exps):
-                raise FreeAlgebraError(f"bad exponent tuple {exps!r}")
-            v = field.coerce(v)
-            if v != field.zero:
-                clean[exps] = v
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, field, alphabet):
-        return cls(field, alphabet, {})
-
-    @classmethod
-    def one(cls, field, alphabet):
-        return cls(field, alphabet, {(0,) * len(tuple(alphabet)): 1})
-
-    @classmethod
-    def monomial(cls, field, alphabet, exps, coeff=1):
-        return cls(field, alphabet, {tuple(exps): coeff})
-
-    @classmethod
-    def var(cls, field, alphabet, x):
-        alphabet = tuple(alphabet)
-        exps = [0] * len(alphabet)
-        exps[alphabet.index(x)] = 1
-        return cls.monomial(field, alphabet, exps)
-
-    def _peer(self, other):
-        if not isinstance(other, CPoly):
-            raise TypeError("expected a CPoly")
-        if other.field != self.field:
-            raise FieldMismatchError(f"{self.field} vs {other.field}")
-        if other.alphabet != self.alphabet:
-            raise AlphabetMismatchError(f"{self.alphabet} vs {other.alphabet}")
-
-    def add(self, other):
-        self._peer(other)
-        f = self.field
-        terms = dict(self.terms)
-        for e, v in other.terms.items():
-            nv = f.add(terms.get(e, f.zero), v)
-            if nv == f.zero:
-                terms.pop(e, None)
-            else:
-                terms[e] = nv
-        return CPoly(f, self.alphabet, terms)
-
-    def scale(self, c):
-        f = self.field
-        c = f.coerce(c)
-        if c == f.zero:
-            return CPoly.zero(f, self.alphabet)
-        return CPoly(f, self.alphabet, {e: f.mul(c, v) for e, v in self.terms.items()})
-
-    def mul(self, other):
-        self._peer(other)
-        f = self.field
-        terms = {}
-        for e1, v1 in self.terms.items():
-            for e2, v2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                nv = f.add(terms.get(e, f.zero), f.mul(v1, v2))
-                if nv == f.zero:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = nv
-        return CPoly(f, self.alphabet, terms)
-
-    def degree(self):
-        return max((sum(e) for e in self.terms), default=None)
-
-    def constant_term(self):
-        return self.terms.get((0,) * len(self.alphabet), self.field.zero)
-
-    def is_aug_zero(self):
-        return (0,) * len(self.alphabet) not in self.terms
-
-    def is_zero(self):
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CPoly)
-            and other.field == self.field
-            and other.alphabet == self.alphabet
-            and other.terms == self.terms
-        )
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for e, v in self.sorted_terms():
-            mono = "*".join(
-                f"{x}^{k}" if k > 1 else x for x, k in zip(self.alphabet, e) if k
-            )
-            s = self.field.to_str(v)
-            if not mono:
-                bits.append(s)
-            elif s == "1":
-                bits.append(mono)
-            else:
-                bits.append(f"{s}*{mono}")
-        return " + ".join(bits)
+# Commutative products.
 
 
 class SingleVarShiftProduct:
@@ -718,16 +670,14 @@ def truncated_centroid_dim(kind: str, alphabet, degree: int, field=QQ) -> int:
             raise FreeAlgebraError(
                 f"{kind} centroid, {k} letters, degree {degree}: over {MAX_CENTROID_CARRIER} words or monomials"
             )
+    poly = NCPoly if kind == "nc" else CPoly
+    combine, deg = poly._mono_mul, poly._mono_deg
     if kind == "nc":
         carrier = words_up_to(alphabet, degree)
-        combine = lambda w1, w2: w1 + w2
-        deg = len
         strip_prefix = lambda t, w: t[len(w):] if t.startswith(w) and len(t) > len(w) else None
         strip_suffix = lambda t, w: t[: -len(w)] if t.endswith(w) and len(t) > len(w) else None
     else:
         carrier = monomials_up_to(alphabet, degree)
-        combine = lambda e1, e2: tuple(a + b for a, b in zip(e1, e2))
-        deg = sum
 
         def strip_prefix(t, w):
             diff = tuple(a - b for a, b in zip(t, w))

@@ -1,5 +1,6 @@
-"""References for the sparse kernel engine, used only by the tests: a dense
-exact Gauss-Jordan and the pivot-row form of modular elimination."""
+"""References used only by the tests: for the sparse kernel engine, a dense
+exact Gauss-Jordan and the pivot-row form of modular elimination; for the
+free-algebra polynomials, arithmetic on plain {monomial: value} dicts."""
 
 import heapq
 
@@ -76,3 +77,16 @@ def kernel_modp_pivot_rows(rows, ncols, p):
         for fc, b in e.items():
             basis[fc][pc] = b
     return list(basis.values())
+
+
+def poly_terms(field, pairs):
+    """The (monomial, value) pairs summed into a {monomial: value} dict, zeros dropped."""
+    out = {}
+    for m, v in pairs:
+        out[m] = field.add(out.get(m, field.zero), field.coerce(v))
+    return {m: v for m, v in out.items() if v != field.zero}
+
+
+def poly_product(field, a, b, combine):
+    """Product of two {monomial: value} dicts, monomials multiplied by `combine`."""
+    return poly_terms(field, ((combine(m1, m2), field.mul(v1, v2)) for m1, v1 in a.items() for m2, v2 in b.items()))

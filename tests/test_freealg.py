@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from _reference import poly_product, poly_terms
 
 from bicompat.freealg import (
     MAX_CENTROID_CARRIER,
@@ -78,6 +79,18 @@ def test_degrees_add_for_nonzero():
 def test_alphabet_mismatch_rejected():
     with pytest.raises(AlphabetMismatchError):
         nc_mul(V("x"), NCPoly.var(QQ, ("x", "z"), "z"))
+    # monomials that do not fit the alphabet, or are not words or int exponent tuples
+    for make in (
+        lambda: NCPoly(QQ, X, {"xz": 1}),
+        lambda: NCPoly(QQ, X, {("x", "y"): 1}),
+        lambda: CPoly(QQ, ("x",), {(1.5,): 1}),
+        lambda: CPoly(QQ, ("x",), {(True,): 1}),
+        lambda: CPoly(QQ, ("x",), {(-1,): 1}),
+        lambda: CPoly(QQ, X, {(1,): 1}),
+        lambda: CPoly(QQ, ("x",), {1: 1}),
+    ):
+        with pytest.raises(FreeAlgebraError):
+            make()
 
 
 def test_zero_and_constants():
@@ -86,6 +99,56 @@ def test_zero_and_constants():
     assert nc_mul(zero, V("x")).is_zero()
     const = NCPoly(QQ, X, {"": 2})
     assert not const.is_aug_zero()
+
+
+def test_str_of_both_kinds():
+    F5 = GF(5)
+    assert str(NCPoly.zero(QQ, X)) == str(CPoly.zero(QQ, X)) == "0"
+    assert str(NCPoly(QQ, X, {"": 3, "x": 1})) == "3*1 + x"
+    assert str(CPoly(QQ, ("x",), {(0,): 3, (2,): 2})) == "3 + 2*x^2"
+    assert str(NCPoly(QQ, X, {"": 1, "yx": 1, "xy": Fraction(-1, 2)})) == "1 + -1/2*xy + yx"
+    assert str(CPoly(QQ, X, {(0, 0): 1, (0, 1): Fraction(2, 3)})) == "1 + 2/3*y"
+    assert str(NCPoly(F5, X, {"xy": 7, "": 1, "y": -1})) == "1 + 4*y + 2*xy"
+    assert str(CPoly(F5, X, {(1, 2): 6})) == str(CPoly(QQ, X, {(1, 2): 1})) == "x*y^2"
+    assert str(CPoly(F5, X, {(1, 2): 4, (1, 0): 3, (0, 0): -2})) == "3 + 3*x + 4*x*y^2"
+
+
+@pytest.mark.parametrize("f", [QQ, GF(2), GF(5)], ids=["Q", "F2", "F5"])
+def test_poly_arithmetic_matches_reference(f):
+    rng = random.Random(str(f))
+    kinds = (
+        (NCPoly, words_up_to(X, 3, start=0), lambda w1, w2: w1 + w2, len, ""),
+        (CPoly, monomials_up_to(X, 3, start=0), lambda e1, e2: (e1[0] + e2[0], e1[1] + e2[1]), sum, (0, 0)),
+    )
+    values = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)] if f == QQ else list(range(-3, 4))
+    for poly, monos, combine, deg, unit in kinds:
+        for _ in range(60):
+            a, b = ({rng.choice(monos): rng.choice(values) for _ in range(rng.randrange(5))} for _ in range(2))
+            p, q = poly(f, X, a), poly(f, X, b)
+            ta, tb = poly_terms(f, a.items()), poly_terms(f, b.items())
+            assert p.terms == ta and q.terms == tb
+            c = rng.choice(values)
+            neg_b = [(m, f.neg(v)) for m, v in tb.items()]
+            expected = {
+                "add": (p.add(q), poly_terms(f, [*ta.items(), *tb.items()])),
+                "sub": (p.sub(q), poly_terms(f, [*ta.items(), *neg_b])),
+                "scale": (p.scale(c), poly_terms(f, ((m, f.mul(f.coerce(c), v)) for m, v in ta.items()))),
+                "scale0": (p.scale(0), {}),
+                "mul": (p.mul(q), poly_product(f, ta, tb, combine)),
+            }
+            for name, (got, terms) in expected.items():
+                assert type(got) is poly and got.terms == terms, (name, a, b)
+                assert got == poly(f, X, terms) and hash(got) == hash(poly(f, X, terms))
+            assert p.degree() == max(map(deg, ta), default=None)
+            assert p.constant_term() == ta.get(unit, f.zero)
+            assert p.is_aug_zero() == (unit not in ta)
+            assert p.is_zero() == (not ta)
+    nc, com = NCPoly.var(f, X, "x"), CPoly.var(f, X, "x")
+    for p, q in ((nc, com), (com, nc)):
+        for op in (p.add, p.sub, p.mul):
+            with pytest.raises(TypeError):
+                op(q)
+    assert nc != com and NCPoly.zero(f, X) != CPoly.zero(f, X)
 
 
 # ---------------------------------------------------------------------------
