@@ -511,32 +511,16 @@ def transport_product(p: Product, g: Matrix) -> Product:
         raise ShapeMismatchError("base change matrix must be square of matching size")
     f = p.field
     n = p.dim
-    ginv = matrix_inverse(g)
+    ginv = Endomorphism(f, matrix_inverse(g).rows)
     triples = []
     for i in range(n):
         gi = list(g.rows[i])
         for j in range(n):
             gj = list(g.rows[j])
-            image = multiply(p, gi, gj)
-            back = ginv_apply(ginv, image, f)
-            for k, v in enumerate(back):
+            for k, v in enumerate(ginv.apply(multiply(p, gi, gj))):
                 if v != f.zero:
                     triples.append((i, j, k, v))
     return Product.from_triples(n, f, triples)
-
-
-def ginv_apply(ginv: Matrix, v, field):
-    # row vector times matrix: coordinates transform back through g^-1
-    n = ginv.nrows
-    out = [field.zero] * n
-    for r, coef in enumerate(v):
-        if coef == field.zero:
-            continue
-        for c in range(n):
-            m = ginv.entry(r, c)
-            if m != field.zero:
-                out[c] = field.add(out[c], field.mul(coef, m))
-    return out
 
 
 def matrix_inverse(g: Matrix) -> Matrix:

@@ -278,10 +278,12 @@ def all_members_associative(ps: ProductSpace) -> AssociativityCertificate:
 
     The associativity defect of sum_a x_a P_a is sum_a x_a^2 D_a plus
     sum_{a<b} x_a x_b C_ab, with D_a the defect of P_a and C_ab the polarized
-    cross term.  Over F_q with q >= 3 each variable has degree below q, and
-    over F_2 (x^2 = x on points) the defect is multilinear; either way it is
-    zero at every point iff every D_a and every C_ab is zero.  A failing
-    member is e_a or e_a + e_b, whose defect is D_a or C_ab.
+    cross term, which is the compatibility defect (E1 + E2) - (E3 + E4) of the
+    pair (star, dot) = (P_a, P_b).  Over F_q with q >= 3 each variable has
+    degree below q, and over F_2 (x^2 = x on points) the defect is
+    multilinear; either way it is zero at every point iff every D_a and every
+    C_ab is zero.  A failing member is e_a or e_a + e_b, whose defect is D_a
+    or C_ab.
     """
     f = ps.base.field
     n = ps.base.dim
@@ -298,8 +300,7 @@ def all_members_associative(ps: ProductSpace) -> AssociativityCertificate:
         p = tables[a]
         for b in range(a + 1, d):
             q = tables[b]
-            cross = [(p, q, _outer, 1), (q, p, _outer, 1), (q, p, _inner, -1), (p, q, _inner, -1)]
-            w = _first_defect(cross, n, f.characteristic)
+            w = _identity_defect(IDENTITIES[Kind.COMPATIBLE][0], p, q, n, f.characteristic)
             if w is not None:
                 coords = tuple(one if x in (a, b) else zero for x in range(d))
                 return AssociativityCertificate("fail", coords, w)

@@ -88,6 +88,8 @@ def test_alphabet_mismatch_rejected():
         lambda: CPoly(QQ, ("x",), {(-1,): 1}),
         lambda: CPoly(QQ, X, {(1,): 1}),
         lambda: CPoly(QQ, ("x",), {1: 1}),
+        lambda: CPoly.var(QQ, X, "z"),
+        lambda: CPoly.monomial(QQ, ("x",), 5),
     ):
         with pytest.raises(FreeAlgebraError):
             make()
@@ -455,8 +457,18 @@ def test_truncated_evaluator_matches_reference(field, letters, cap):
             assert got == _outcome(_ref_witness, sm, kind, cap), (sm.table, kind)
             witnesses += isinstance(got, TruncatedWitness)
         # On words the extension gives G1 = G3 and G2 = G4 by its definition, for every
-        # star, so verify_id_matching_truncated checks only associativity.
+        # star, so identity_witness_truncated compares only G1 and G2 and
+        # verify_id_matching_truncated checks only associativity.
         assert all(g["G1"] == g["G3"] and g["G2"] == g["G4"] for _, g in _ref_sides(sm, cap)), sm.table
+        # By the same definition (a*b)*c = a*(b*c) on every triple with len(b) >= 2, for every
+        # star, so verify_id_matching_truncated evaluates only a one-letter b; a star that fails
+        # the condition fails there.
+        failing_b = set()
+        for wa, wb, wc in _ref_triples(letters, cap):
+            a, b, c = (NCPoly.word(field, letters, w) for w in (wa, wb, wc))
+            if _ref_extend(sm, _ref_extend(sm, a, b), c) != _ref_extend(sm, a, _ref_extend(sm, b, c)):
+                failing_b.add(len(wb))
+        assert failing_b == ({1} if _ref_condition(sm) else set()), sm.table
         degree = sm.max_degree() + cap
         got = _outcome(verify_id_matching_truncated, sm, degree)
         assert got == _outcome(_ref_verify, sm, degree), sm.table
