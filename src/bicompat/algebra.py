@@ -23,6 +23,7 @@ from .linalg import (
     field_to_json,
     kernel_from_rows,
     rref,
+    shared_rational,
     solve,
 )
 
@@ -47,9 +48,15 @@ UNIT_SIDES = ("left", "right", "two-sided")
 
 
 class Product:
-    """A bilinear product on an n-dimensional space, as a sparse rank-3 tensor."""
+    """A bilinear product on an n-dimensional space, as a sparse rank-3 tensor.
 
-    __slots__ = ("dim", "field", "tables")
+    A product is immutable after construction: every operation returns a new
+    one.  So its integer tables (`_ints`) and its associativity witness
+    (`_assoc`, held as a 1-tuple) are computed at most once, on first use,
+    and kept on the object.
+    """
+
+    __slots__ = ("dim", "field", "tables", "_ints", "_assoc")
 
     def __init__(self, dim, field, tables):
         if dim < 1:
@@ -70,6 +77,7 @@ class Product:
             if out:
                 clean[(i, j)] = out
         self.tables = clean
+        self._ints = self._assoc = None
 
     @classmethod
     def from_triples(cls, dim, field, triples):
@@ -226,6 +234,13 @@ class _IntTables:
             self.out[k].append(((i * n + j) * n, v))
 
 
+def _int_tables(p: Product) -> _IntTables:
+    """The integer tables of p, built on first use and kept on p."""
+    if p._ints is None:
+        p._ints = _IntTables(p)
+    return p._ints
+
+
 def _outer(acc, p, q, i, n, sign):
     """acc[(j*n + k)*n + l] += sign * coefficient of b_l in (b_i p b_j) q b_k."""
     qt = q.tail
@@ -281,13 +296,17 @@ def _slice_vector(terms, n, triple, field, scale):
     vals = [acc.get(base + l, 0) for l in range(n)]
     if field.characteristic:
         return tuple(v % field.p for v in vals)
-    return tuple(Fraction(v, scale) for v in vals)
+    return tuple(shared_rational(Fraction(v, scale)) for v in vals)
 
 
 def associativity_witness(p: Product):
-    """First basis triple (i, j, k) where (b_i b_j) b_k != b_i (b_j b_k), or None."""
-    t = _IntTables(p)
-    return _first_defect([(t, t, _outer, 1), (t, t, _inner, -1)], p.dim, p.field.characteristic)
+    """First basis triple (i, j, k) where (b_i b_j) b_k != b_i (b_j b_k), or None.
+
+    Evaluated once per product and kept on it."""
+    if p._assoc is None:
+        t = _int_tables(p)
+        p._assoc = (_first_defect([(t, t, _outer, 1), (t, t, _inner, -1)], p.dim, p.field.characteristic),)
+    return p._assoc[0]
 
 
 def is_associative(p: Product):

@@ -28,7 +28,7 @@ from .algebra import (
     Product,
     _first_defect,
     _inner,
-    _IntTables,
+    _int_tables,
     _outer,
     _slice_vector,
     associativity_witness,
@@ -79,7 +79,7 @@ class InternalContradictionError(AlgebraError):
     """Two supposedly equivalent evaluation routes disagreed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     identity: int
     triple: tuple
@@ -87,7 +87,7 @@ class Witness:
     rhs: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompatReport:
     kind: Kind
     holds: bool
@@ -138,7 +138,7 @@ def check(kind: Kind, star: Product, dot: Product) -> CompatReport:
     _check_pair(star, dot)
     require_associative(dot)
     n, f = dot.dim, dot.field
-    s, d = _IntTables(star), _IntTables(dot)
+    s, d = _int_tables(star), _int_tables(dot)
     for ident_idx, identity in enumerate(IDENTITIES[kind]):
         triple = _identity_defect(identity, s, d, n, f.characteristic)
         if triple is not None:
@@ -250,7 +250,7 @@ def solve_linear(kind: Kind, dot: Product) -> ProductSpace:
     if n**3 > MAX_UNKNOWNS:
         raise LinalgError(f"{n}^3 = {n**3} unknowns exceed the solver budget of {MAX_UNKNOWNS}")
     require_associative(dot)
-    t = _IntTables(dot)
+    t = _int_tables(dot)
     rows = []
     for lhs, rhs in IDENTITIES[kind]:
         for i in range(n):
@@ -262,7 +262,7 @@ def solve_linear(kind: Kind, dot: Product) -> ProductSpace:
     return ProductSpace(dot, kind, kernel_from_rows(dot.field, n**3, rows))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssociativityCertificate:
     status: str  # "pass" | "fail"
     member: tuple | None  # coordinates in the space basis
@@ -295,7 +295,7 @@ def all_members_associative(ps: ProductSpace) -> AssociativityCertificate:
         if w is not None:
             coords = tuple(one if x == a else zero for x in range(d))
             return AssociativityCertificate("fail", coords, w)
-    tables = [_IntTables(p) for p in basis]
+    tables = [_int_tables(p) for p in basis]
     for a in range(d):
         p = tables[a]
         for b in range(a + 1, d):
@@ -307,7 +307,7 @@ def all_members_associative(ps: ProductSpace) -> AssociativityCertificate:
     return AssociativityCertificate("pass", None, None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquivalenceAudit:
     """Truth values of the equivalent formulations of total compatibility."""
 
@@ -333,7 +333,7 @@ def remark13_audit(p1: Product, p2: Product) -> EquivalenceAudit:
     require_associative(p2)
     require_associative(p1, "first product")
     n, modulus = p1.dim, p1.field.characteristic
-    t1, t2 = _IntTables(p1), _IntTables(p2)
+    t1, t2 = _int_tables(p1), _int_tables(p2)
     # Expressions of the pair (p1, p2): E1..E4 with star=p1, dot=p2.
     atom_pairs = {
         "eq_13": ((E1,), (E3,)),

@@ -468,7 +468,16 @@ class TruncatedWitness:
 
 
 def identity_witness_truncated(sm: StarMap, kind: str, total_degree_cap: int):
-    """First violated identity instance over word triples of bounded total degree: the first G1 != G2."""
+    """First violated identity instance over word triples of bounded total degree: the first G1 != G2.
+
+    Only triples with one-letter a and c are evaluated.  On words
+    G1 = a[:-1] [S(a[-1], b[0]) b[1:] c[0]] c[1:] and
+    G2 = a[:-1] [a[-1] b[:-1] S(b[-1], c[0])] c[1:]; the bracketed parts are
+    G1 and G2 at (a[-1], b, c[0]), and w -> a[:-1] w c[1:] is one-to-one on
+    words, so (a, b, c) fails exactly when (a[-1], b, c[0]) does.  The runs
+    come by deg a, then deg b, then deg c, so that shorter triple comes
+    first and the first witness is the one of the full scan.
+    """
     if kind not in _STAR_IDENTITIES:
         raise FreeAlgebraError(f"unknown identity family {kind!r}")
     if sm.condition_witness() is not None:
@@ -477,6 +486,10 @@ def identity_witness_truncated(sm: StarMap, kind: str, total_degree_cap: int):
     name, ints = _STAR_IDENTITIES[kind], sm._ints
     runs = _word_runs(sm.alphabet, total_degree_cap)  # refuses an over-budget cap, id-matching too
     for wa, wb, wcs in runs if name else ():
+        if len(wa) > 1:  # every run with a one-letter a is done
+            break
+        if len(wcs[0]) > 1:
+            continue
         ab, wab = _extend_words(ints, wa, wb), wa + wb
         for wc in wcs:
             if {w + wc: v for w, v in ab.items()} != _extend_words(ints, wab, wc):

@@ -561,6 +561,11 @@ def solve(m: Matrix, b):
 _SMALL_Q = {v: v for v in {Fraction(a, b) for a in range(-32, 33) for b in range(1, 33)}}
 
 
+def shared_rational(v: Fraction) -> Fraction:
+    """The process-wide object equal to v when v has height <= 32, else v itself."""
+    return _SMALL_Q.get(v, v)
+
+
 def kernel_from_rows(field, ncols, sparse_rows):
     """Kernel of the system whose rows are {col: value} mappings, as a canonical Subspace.
 

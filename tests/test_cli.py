@@ -410,10 +410,29 @@ def _parses(load, doc):
     return True
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+# Refusals come before any work: an input error exits within this many seconds.
+REFUSAL_S = 1.0
+
+# Degree caps for the budgeted free commands, each tried on every drawn input.
+# Caps up to 6 run admitted calls that stay cheap; every cap from 65 up is over
+# the budget of its command (MAX_CENTROID_CARRIER for centroid-dim,
+# MAX_WORD_TRIPLES for verify with star images of degree <= 3), so those
+# inputs must be refused quickly.
+_CAPS = (-1, 0, 2, 3, 4, 6, 65, 10**6, 10**12)
+# centroid-dim's --mode, --vars and --field
+_CENTROID_ARGS = st.tuples(
+    st.sampled_from(["nc", "commutative"]),
+    st.sampled_from(["xy", "x", "xyz", "xx", ""]),
+    st.sampled_from(["Q", "F5", "F4"]),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=210)
 @given(
     data=st.data(),
-    command=st.sampled_from(["check", "solve", "invariants", "check-star", "verify"]),
+    command=st.sampled_from(
+        ["check", "solve", "invariants", "check-star", "verify", "verify-degree", "centroid-dim"]
+    ),
     kinds=_KINDS,
     machine=st.booleans(),
 )
@@ -431,23 +450,41 @@ def test_fuzzed_documents_exit_by_contract(tmp_path_factory, data, command, kind
         paths[name] = str(tmp / f"{name}.json")
         with open(paths[name], "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-    argv = {
-        "check": ["check", paths["algebra"], paths["product"], "--kinds", kinds],
-        "solve": ["solve", paths["algebra"], "--kind", kinds],
-        "invariants": ["invariants", paths["algebra"]],
-        "check-star": ["free", "check-star", paths["starmap"]],
-        "verify": ["free", "verify", paths["starmap"]],
-    }[command] + (["--machine"] if machine else [])
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
-    assert code in (0, 1, 2, 3, 4)
-    assert "Traceback" not in err.getvalue()
-    if code == 1:
-        if command == "check":
-            assert _parses(algebra_from_json, docs["algebra"]) and _parses(product_from_json, docs["product"])
-        else:
-            assert command in ("check-star", "verify") and _parses(starmap_from_json, docs["starmap"])
+    if command == "verify-degree":
+        argvs = [["free", "verify", paths["starmap"], "--degree", str(cap)] for cap in _CAPS]
+    elif command == "centroid-dim":
+        mode, letters, fname = data.draw(_CENTROID_ARGS)
+        argvs = [
+            ["free", "centroid-dim", "--mode", mode, "--vars", letters, "--degree", str(cap), "--field", fname]
+            for cap in _CAPS
+        ]
+    else:
+        argvs = [
+            {
+                "check": ["check", paths["algebra"], paths["product"], "--kinds", kinds],
+                "solve": ["solve", paths["algebra"], "--kind", kinds],
+                "invariants": ["invariants", paths["algebra"]],
+                "check-star": ["free", "check-star", paths["starmap"]],
+                "verify": ["free", "verify", paths["starmap"]],
+            }[command]
+        ]
+    for argv in argvs:
+        argv += ["--machine"] if machine else []
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        elapsed = time.perf_counter() - start
+        assert code in (0, 1, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert elapsed < REFUSAL_S, (argv, elapsed)
+        if code == 1:
+            if command == "check":
+                assert _parses(algebra_from_json, docs["algebra"]) and _parses(product_from_json, docs["product"])
+            else:
+                assert command in ("check-star", "verify", "verify-degree")
+                assert _parses(starmap_from_json, docs["starmap"])

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from _reference import kernel_pure
 
+from bicompat import algebra
 from bicompat.algebra import (
     Endomorphism,
     NonAssociativeError,
@@ -272,6 +273,77 @@ def test_remark13_requires_associative():
     bad = Product.from_triples(2, QQ, [(0, 0, 1, 1), (1, 0, 0, 1)])
     with pytest.raises(NonAssociativeError):
         remark13_audit(bad, Product.zero(2, QQ))
+
+
+# -- a Product evaluates its associativity once ------------------------------
+
+
+@pytest.fixture
+def assoc_evaluations(monkeypatch):
+    """One entry per associativity evaluation (the checkers call their own binding)."""
+    seen = []
+    first_defect = algebra._first_defect
+
+    def counting(terms, n, modulus):
+        seen.append(n)
+        return first_defect(terms, n, modulus)
+
+    monkeypatch.setattr(algebra, "_first_defect", counting)
+    return seen
+
+
+def test_checks_evaluate_base_associativity_once(assoc_evaluations):
+    m2 = matrix_algebra(2, QQ)
+    base = Product(m2.dim, QQ, m2.dot.tables)  # a new object: not evaluated yet
+    star = mutation(m2.dot, [1, 2, 0, -1])
+    before = len(assoc_evaluations)
+    for _ in range(3):
+        for kind in Kind:
+            check(kind, star, base)
+    assert len(assoc_evaluations) == before + 1
+    for _ in range(3):
+        assert not remark13_audit(star, base).contradiction
+        solve_linear(Kind.ID_MATCHING, base)
+    assert len(assoc_evaluations) == before + 2  # the star's, once
+    check_compatible_dual(star, base)
+    check_compatible_dual(star, base)
+    assert len(assoc_evaluations) == before + 4  # each call sums into a new product
+
+
+def test_non_associative_base_raises_the_same_witness(assoc_evaluations):
+    bad = Product.from_triples(2, QQ, [(0, 0, 1, 1), (1, 0, 0, 1)])
+    ok = Product.zero(2, QQ)
+    calls = [lambda k=kind: check(k, ok, bad) for kind in Kind]
+    calls += [lambda: solve_linear(Kind.ID_MATCHING, bad), lambda: remark13_audit(ok, bad)]
+    calls += [lambda: remark13_audit(bad, ok), lambda: check_compatible_dual(ok, bad)]
+    witnesses = []
+    for call in calls * 2:
+        with pytest.raises(NonAssociativeError) as exc:
+            call()
+        witnesses.append(exc.value.witness)
+    assert witnesses == [_reference_associativity_witness(bad)] * len(witnesses)
+    assert len(assoc_evaluations) == 2  # bad's, then ok's in remark13_audit(ok, bad)
+
+
+def test_new_products_evaluate_their_own_witness(assoc_evaluations):
+    m2 = matrix_algebra(2, QQ).dot
+    bad = Product.from_triples(2, QQ, [(0, 0, 1, 1), (1, 0, 0, 1)])
+    for p in (m2, bad):
+        n, f = p.dim, p.field
+        witness = associativity_witness(p)
+        before = len(assoc_evaluations)
+        assert associativity_witness(p) == witness and len(assoc_evaluations) == before
+        g = Matrix.identity(f, n)
+        new = [
+            Product(n, f, p.tables),
+            p.add(Product.zero(n, f)),
+            p.scale(1),
+            Product.from_flat(n, f, p.flatten()),
+            transport_product(p, g),
+        ]
+        for q in new:
+            assert q == p and associativity_witness(q) == witness
+        assert len(assoc_evaluations) == before + len(new)
 
 
 # -- test-only references built on the public `multiply` ---------------------

@@ -452,14 +452,23 @@ def test_truncated_evaluator_matches_reference(field, letters, cap):
     for sm in stars:
         got = star_condition(sm)
         assert (got and (got.triple, got.lhs, got.rhs)) == _ref_condition(sm)
+        found = 0
         for kind in _REF_IDENTITIES:
             got = _outcome(identity_witness_truncated, sm, kind, cap)
             assert got == _outcome(_ref_witness, sm, kind, cap), (sm.table, kind)
-            witnesses += isinstance(got, TruncatedWitness)
+            found += isinstance(got, TruncatedWitness)
+        witnesses += found
+        sides = dict(_ref_sides(sm, cap))
         # On words the extension gives G1 = G3 and G2 = G4 by its definition, for every
         # star, so identity_witness_truncated compares only G1 and G2 and
         # verify_id_matching_truncated checks only associativity.
-        assert all(g["G1"] == g["G3"] and g["G2"] == g["G4"] for _, g in _ref_sides(sm, cap)), sm.table
+        assert all(g["G1"] == g["G3"] and g["G2"] == g["G4"] for g in sides.values()), sm.table
+        # G1 and G2 share the prefix a[:-1] and the suffix c[1:], so (a, b, c) has G1 != G2
+        # exactly when (a[-1], b, c[0]) has: identity_witness_truncated evaluates only
+        # one-letter a and c.  A star with a witness makes the set nonempty.
+        failing = {t for t, g in sides.items() if g["G1"] != g["G2"]}
+        assert failing == {(wa, wb, wc) for wa, wb, wc in sides if (wa[-1], wb, wc[0]) in failing}, sm.table
+        assert failing or not found, sm.table
         # By the same definition (a*b)*c = a*(b*c) on every triple with len(b) >= 2, for every
         # star, so verify_id_matching_truncated evaluates only a one-letter b; a star that fails
         # the condition fails there.
