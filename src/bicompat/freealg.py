@@ -8,11 +8,14 @@ non-unital algebras are the spans of the nonempty words and of the
 nonconstant monomials.
 Star maps assign a zero-constant-term polynomial to every ordered pair of
 letters; the ones satisfying the compatibility condition extend to bilinear
-products on the whole algebra.  All identity checking is truncated only in
-which instances are enumerated: every value is integer-scaled, still exact
-(the star images times the lcm of their denominators over Q, residues over
-F_p), and no term is ever dropped, except in `truncated_centroid_dim`, which
-works in the quotient by words of degree above the cap.
+products on the whole algebra.  The truncated identity checks of such an
+extension are decided on the letter triples alone, by the arguments in
+`identity_witness_truncated` and `verify_id_matching_truncated`; their degree
+cap only sets how many word triples are admitted (MAX_WORD_TRIPLES).  Every
+value is integer-scaled, still exact (the star images times the lcm of their
+denominators over Q, residues over F_p), and no term is ever dropped, except
+in `truncated_centroid_dim`, which works in the quotient by words of degree
+above the cap.
 """
 
 from __future__ import annotations
@@ -391,22 +394,19 @@ def star_condition(sm: StarMap):
     return sm.condition_witness()
 
 
-def _extend_words(ints, wa, wb):
-    """Terms of wa[:-1] . S(wa[-1], wb[0]) . wb[1:]; S's words never collide."""
-    pre, post = wa[:-1], wb[1:]
-    return {pre + w + post: v for w, v in ints[(wa[-1], wb[0])].items()}
-
-
 def _extend_terms(ints, p, a, b):
     """Terms of the bilinear extension on int term dicts a and b, zeros dropped.
 
-    Values come from the integer table `ints` and are reduced mod p when p > 0.
+    A pair of words wa, wb gives wa[:-1] . S(wa[-1], wb[0]) . wb[1:].  Values
+    come from the integer table `ints` and are reduced mod p when p > 0.
     """
     out = {}
     for wa, ca in a.items():
+        pre = wa[:-1]
         for wb, cb in b.items():
-            c = ca * cb
-            for w, v in _extend_words(ints, wa, wb).items():
+            c, post = ca * cb, wb[1:]
+            for u, v in ints[(wa[-1], wb[0])].items():
+                w = pre + u + post
                 out[w] = out.get(w, 0) + c * v
     if p:
         return {w: r for w, v in out.items() if (r := v % p)}
@@ -441,24 +441,14 @@ _STAR_IDENTITIES = {
 }
 
 
-def _word_runs(alphabet, cap):
-    """Word triples with deg a + deg b + deg c <= cap, by degrees, then words,
-    as runs (a, b, cs): the triples (a, b, c) for c in cs, in that order.
-
-    There are C(t-1, 2) k^t triples of total degree t; above MAX_WORD_TRIPLES
-    in all (always the case for cap > 200) this raises before enumerating.
-    """
-    k = len(alphabet)
+def _admit(sm, cap):
+    """Refuse a star map failing the extension condition, then a cap admitting over
+    MAX_WORD_TRIPLES word triples: C(t-1, 2) k^t of total degree t, so every cap over 200."""
+    if sm.condition_witness() is not None:
+        raise ConditionNotVerifiedError("star map fails the extension condition")
+    k = len(sm.alphabet)
     if sum(math.comb(t - 1, 2) * k**t for t in range(3, min(cap, 201) + 1)) > MAX_WORD_TRIPLES:
         raise FreeAlgebraError(f"cap {cap}, {k} letters: over {MAX_WORD_TRIPLES} triples of words")
-    words = {t: words_up_to(alphabet, t, start=t) for t in range(1, cap - 1)}
-    return (
-        (wa, wb, words[tc])
-        for ta in range(1, cap - 1)
-        for tb in range(1, cap - ta)
-        for tc in range(1, cap - ta - tb + 1)
-        for wa, wb in itertools.product(words[ta], words[tb])
-    )
 
 
 @dataclass(frozen=True)
@@ -470,54 +460,39 @@ class TruncatedWitness:
 def identity_witness_truncated(sm: StarMap, kind: str, total_degree_cap: int):
     """First violated identity instance over word triples of bounded total degree: the first G1 != G2.
 
-    Only triples with one-letter a and c are evaluated.  On words
+    The triples run by deg a, deg b, deg c, then words, and count against the
+    budget, but only letter triples (cap >= 3) are evaluated.  On words
     G1 = a[:-1] [S(a[-1], b[0]) b[1:] c[0]] c[1:] and
-    G2 = a[:-1] [a[-1] b[:-1] S(b[-1], c[0])] c[1:]; the bracketed parts are
-    G1 and G2 at (a[-1], b, c[0]), and w -> a[:-1] w c[1:] is one-to-one on
-    words, so (a, b, c) fails exactly when (a[-1], b, c[0]) does.  The runs
-    come by deg a, then deg b, then deg c, so that shorter triple comes
-    first and the first witness is the one of the full scan.
+    G2 = a[:-1] [a[-1] b[:-1] S(b[-1], c[0])] c[1:], brackets G1 and G2 at
+    (a[-1], b, c[0]), so (a, b, c) fails exactly when (a[-1], b, c[0]) does.
+    If S(x, y) z = x S(y, z) on all letters, then by induction along b
+    S(x, b0) b1..bm z = x b0..b(m-1) S(bm, z), and no triple fails; otherwise
+    the first failing letter triple comes first.
     """
     if kind not in _STAR_IDENTITIES:
         raise FreeAlgebraError(f"unknown identity family {kind!r}")
-    if sm.condition_witness() is not None:
-        raise ConditionNotVerifiedError("star map fails the extension condition")
-    # G1 and G2 have degree 1 in the integer table, so they compare at scale s
+    _admit(sm, total_degree_cap)  # id-matching too
     name, ints = _STAR_IDENTITIES[kind], sm._ints
-    runs = _word_runs(sm.alphabet, total_degree_cap)  # refuses an over-budget cap, id-matching too
-    for wa, wb, wcs in runs if name else ():
-        if len(wa) > 1:  # every run with a one-letter a is done
-            break
-        if len(wcs[0]) > 1:
-            continue
-        ab, wab = _extend_words(ints, wa, wb), wa + wb
-        for wc in wcs:
-            if {w + wc: v for w, v in ab.items()} != _extend_words(ints, wab, wc):
-                return TruncatedWitness(name, (wa, wb, wc))
+    if name is None or total_degree_cap < 3:
+        return None
+    # G1 = S(x, y) z and G2 = x S(y, z) have degree 1 in the integer table, so they compare at scale s
+    for x, y, z in itertools.product(sm.alphabet, repeat=3):
+        if {w + z: v for w, v in ints[(x, y)].items()} != {x + w: v for w, v in ints[(y, z)].items()}:
+            return TruncatedWitness(name, (x, y, z))
     return None
 
 
 def verify_id_matching_truncated(sm: StarMap, degree: int):
-    """Check the matching identities and associativity of the extension.
+    """Check the matching identities and associativity of the extension: None, or a refusal.
 
-    Instances run over word triples with deg a + deg b + deg c + (maximal star
-    image degree) <= degree, all counted by the budget.  Only associativity with
-    a one-letter b is evaluated, each side exactly; the rest holds by the
-    definition of the extension (see `_STAR_IDENTITIES` and the loop).
+    The word triples with deg a + deg b + deg c + (maximal star image degree)
+    <= degree count against the budget, but none can fail once the condition
+    holds.  The matching identities hold on words by the definition of the
+    extension (see `_STAR_IDENTITIES`), and so does (a*b)*c = a*(b*c) for a
+    longer b.  For a one-letter b, (a*b)*c - a*(b*c) is
+    a[:-1] . (the condition's lhs - rhs at (a[-1], b, c[0])) . c[1:] = 0.
     """
-    if sm.condition_witness() is not None:
-        raise ConditionNotVerifiedError("star map fails the extension condition")
-    # associativity of the extension, (a*b)*c = a*(b*c): both sides at scale s^2
-    ints, p = sm._ints, sm.field.characteristic
-    for wa, wb, wcs in _word_runs(sm.alphabet, degree - sm.max_degree()):
-        if len(wb) > 1:  # both sides are a[:-1] S(a[-1], b[0]) b[1:-1] S(b[-1], c[0]) c[1:]
-            continue
-        ab = _extend_words(ints, wa, wb)
-        for wc in wcs:
-            lhs = _extend_terms(ints, p, ab, {wc: 1})
-            rhs = _extend_terms(ints, p, {wa: 1}, _extend_words(ints, wb, wc))
-            if lhs != rhs:
-                return TruncatedWitness("(a*b)*c=a*(b*c)", (wa, wb, wc))
+    _admit(sm, degree - sm.max_degree())
     return None
 
 

@@ -267,8 +267,11 @@ def test_truncated_word_triple_budget():
     assert sum(math.comb(t - 1, 2) * 2**t for t in range(3, 14)) <= MAX_WORD_TRIPLES
     with pytest.raises(FreeAlgebraError, match="triples of words"):
         identity_witness_truncated(cs, "id-matching", 14)
-    with pytest.raises(FreeAlgebraError, match="triples of words"):
-        verify_id_matching_truncated(cs, 10**9)
+    # verify's budget applies to degree - max image degree: 15 - 2 = 13 is admitted, 14 is not
+    assert verify_id_matching_truncated(cs, 15) is None
+    for degree in (16, 10**9):
+        with pytest.raises(FreeAlgebraError, match="triples of words"):
+            verify_id_matching_truncated(cs, degree)
     # the condition is still checked first
     broken = StarMap(QQ, X, {("x", "y"): V("x")})
     with pytest.raises(ConditionNotVerifiedError):
@@ -305,6 +308,9 @@ def test_left_zero_star_is_not_swap_matching():
     lz = left_zero_star(QQ, X)
     w = identity_witness_truncated(lz, "swap-matching", 4)
     assert isinstance(w, TruncatedWitness)
+    # a cap of 2 admits no triple; 3 admits the letter triples, x.x.y first failing
+    assert identity_witness_truncated(lz, "swap-matching", 2) is None
+    assert identity_witness_truncated(lz, "swap-matching", 3) == TruncatedWitness("G1=G4", ("x", "x", "y"))
 
 
 # ---------------------------------------------------------------------------
@@ -455,23 +461,27 @@ def test_truncated_evaluator_matches_reference(field, letters, cap):
         found = 0
         for kind in _REF_IDENTITIES:
             got = _outcome(identity_witness_truncated, sm, kind, cap)
-            assert got == _outcome(_ref_witness, sm, kind, cap), (sm.table, kind)
+            ref = _outcome(_ref_witness, sm, kind, cap)
+            assert got == ref, (sm.table, kind)
             found += isinstance(got, TruncatedWitness)
+            # the first witness of the full scan is a letter triple
+            assert not isinstance(ref, TruncatedWitness) or all(len(w) == 1 for w in ref.words), (sm.table, kind)
         witnesses += found
         sides = dict(_ref_sides(sm, cap))
         # On words the extension gives G1 = G3 and G2 = G4 by its definition, for every
-        # star, so identity_witness_truncated compares only G1 and G2 and
-        # verify_id_matching_truncated checks only associativity.
+        # star, so identity_witness_truncated compares only G1 and G2.
         assert all(g["G1"] == g["G3"] and g["G2"] == g["G4"] for g in sides.values()), sm.table
         # G1 and G2 share the prefix a[:-1] and the suffix c[1:], so (a, b, c) has G1 != G2
-        # exactly when (a[-1], b, c[0]) has: identity_witness_truncated evaluates only
-        # one-letter a and c.  A star with a witness makes the set nonempty.
+        # exactly when (a[-1], b, c[0]) has; by induction along b, some triple fails exactly
+        # when a letter triple does, so identity_witness_truncated evaluates only letter
+        # triples.  A star with a witness makes the set nonempty.
         failing = {t for t, g in sides.items() if g["G1"] != g["G2"]}
         assert failing == {(wa, wb, wc) for wa, wb, wc in sides if (wa[-1], wb, wc[0]) in failing}, sm.table
+        assert bool(failing) == any(len(wa + wb + wc) == 3 for wa, wb, wc in failing), sm.table
         assert failing or not found, sm.table
         # By the same definition (a*b)*c = a*(b*c) on every triple with len(b) >= 2, for every
-        # star, so verify_id_matching_truncated evaluates only a one-letter b; a star that fails
-        # the condition fails there.
+        # star, and with a one-letter b the two sides differ exactly by the condition's defect,
+        # so verify_id_matching_truncated evaluates nothing once the condition holds.
         failing_b = set()
         for wa, wb, wc in _ref_triples(letters, cap):
             a, b, c = (NCPoly.word(field, letters, w) for w in (wa, wb, wc))
