@@ -60,10 +60,14 @@ class QuiverSpec:
     arrows: tuple
 
     def __init__(self, vertices, arrows):
+        if type(vertices) is not int or vertices < 1:
+            raise AlgebraError("quiver needs a positive integer number of vertices")
+        if not isinstance(arrows, (list, tuple)) or not all(
+            isinstance(a, (list, tuple)) and len(a) == 2 and all(type(v) is int for v in a) for a in arrows
+        ):
+            raise AlgebraError("quiver arrows must be [source, target] pairs of integers")
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "arrows", tuple((int(s), int(t)) for s, t in arrows))
-        if vertices < 1:
-            raise AlgebraError("quiver needs at least one vertex")
+        object.__setattr__(self, "arrows", tuple(map(tuple, arrows)))
         for s, t in self.arrows:
             if not (0 <= s < vertices and 0 <= t < vertices):
                 raise AlgebraError(f"arrow ({s},{t}) out of range")

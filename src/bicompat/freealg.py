@@ -10,11 +10,11 @@ Star maps assign a zero-constant-term polynomial to every ordered pair of
 letters; the ones satisfying the compatibility condition extend to bilinear
 products on the whole algebra.  The truncated identity checks of such an
 extension are decided on the letter triples alone, by the arguments in
-`identity_witness_truncated` and `verify_id_matching_truncated`; their degree
-cap only sets how many word triples are admitted (MAX_WORD_TRIPLES).  Every
-value is integer-scaled, still exact (the star images times the lcm of their
-denominators over Q, residues over F_p), and no term is ever dropped, except
-in `truncated_centroid_dim`, which works in the quotient by words of degree
+`identity_witness_truncated` and `verify_id_matching_truncated`, so every
+degree cap costs the same k^3 scan at most.  Every value is integer-scaled,
+still exact (the star images times the lcm of their denominators over Q,
+residues over F_p), and no term is ever dropped, except in
+`truncated_centroid_dim`, which works in the quotient by words of degree
 above the cap.
 """
 
@@ -51,11 +51,10 @@ class WrongVariableCountError(FreeAlgebraError):
 
 
 # Input budgets: a star map document has at most MAX_LETTERS variables (an
-# algebra document's MAX_DIM), a truncated check at most MAX_WORD_TRIPLES triples,
-# a truncated centroid at most MAX_CENTROID_CARRIER words or monomials: with c
-# of them there are at most c^2 unknowns and about c^3 equations.
+# algebra document's MAX_DIM), so a truncated check scans at most 32^3 letter
+# triples; a truncated centroid has at most MAX_CENTROID_CARRIER words or
+# monomials: with c of them there are at most c^2 unknowns and about c^3 equations.
 MAX_LETTERS = 32
-MAX_WORD_TRIPLES = 2**20
 MAX_CENTROID_CARRIER = 64
 
 
@@ -413,10 +412,14 @@ def _extend_terms(ints, p, a, b):
     return {w: v for w, v in out.items() if v}
 
 
-def extend_star(sm: StarMap, a: NCPoly, b: NCPoly) -> NCPoly:
-    """Bilinear extension a1 . (x star y) . b1 on words a = a1 x, b = y b1."""
+def _require_condition(sm):
     if sm.condition_witness() is not None:
         raise ConditionNotVerifiedError("star map fails the extension condition")
+
+
+def extend_star(sm: StarMap, a: NCPoly, b: NCPoly) -> NCPoly:
+    """Bilinear extension a1 . (x star y) . b1 on words a = a1 x, b = y b1."""
+    _require_condition(sm)
     if a.field != sm.field or a.alphabet != sm.alphabet:
         raise AlphabetMismatchError("left factor over wrong field or alphabet")
     if b.field != sm.field or b.alphabet != sm.alphabet:
@@ -441,16 +444,6 @@ _STAR_IDENTITIES = {
 }
 
 
-def _admit(sm, cap):
-    """Refuse a star map failing the extension condition, then a cap admitting over
-    MAX_WORD_TRIPLES word triples: C(t-1, 2) k^t of total degree t, so every cap over 200."""
-    if sm.condition_witness() is not None:
-        raise ConditionNotVerifiedError("star map fails the extension condition")
-    k = len(sm.alphabet)
-    if sum(math.comb(t - 1, 2) * k**t for t in range(3, min(cap, 201) + 1)) > MAX_WORD_TRIPLES:
-        raise FreeAlgebraError(f"cap {cap}, {k} letters: over {MAX_WORD_TRIPLES} triples of words")
-
-
 @dataclass(frozen=True)
 class TruncatedWitness:
     identity: str
@@ -460,8 +453,8 @@ class TruncatedWitness:
 def identity_witness_truncated(sm: StarMap, kind: str, total_degree_cap: int):
     """First violated identity instance over word triples of bounded total degree: the first G1 != G2.
 
-    The triples run by deg a, deg b, deg c, then words, and count against the
-    budget, but only letter triples (cap >= 3) are evaluated.  On words
+    The triples run by deg a, deg b, deg c, then words, but only the letter
+    triples are evaluated, so every cap >= 3 has the same answer.  On words
     G1 = a[:-1] [S(a[-1], b[0]) b[1:] c[0]] c[1:] and
     G2 = a[:-1] [a[-1] b[:-1] S(b[-1], c[0])] c[1:], brackets G1 and G2 at
     (a[-1], b, c[0]), so (a, b, c) fails exactly when (a[-1], b, c[0]) does.
@@ -471,7 +464,7 @@ def identity_witness_truncated(sm: StarMap, kind: str, total_degree_cap: int):
     """
     if kind not in _STAR_IDENTITIES:
         raise FreeAlgebraError(f"unknown identity family {kind!r}")
-    _admit(sm, total_degree_cap)  # id-matching too
+    _require_condition(sm)  # id-matching too
     name, ints = _STAR_IDENTITIES[kind], sm._ints
     if name is None or total_degree_cap < 3:
         return None
@@ -485,14 +478,14 @@ def identity_witness_truncated(sm: StarMap, kind: str, total_degree_cap: int):
 def verify_id_matching_truncated(sm: StarMap, degree: int):
     """Check the matching identities and associativity of the extension: None, or a refusal.
 
-    The word triples with deg a + deg b + deg c + (maximal star image degree)
-    <= degree count against the budget, but none can fail once the condition
-    holds.  The matching identities hold on words by the definition of the
-    extension (see `_STAR_IDENTITIES`), and so does (a*b)*c = a*(b*c) for a
-    longer b.  For a one-letter b, (a*b)*c - a*(b*c) is
+    None of the word triples with deg a + deg b + deg c + (maximal star image
+    degree) <= degree can fail once the condition holds, whatever the degree.
+    The matching identities hold on words by the definition of the extension
+    (see `_STAR_IDENTITIES`), and so does (a*b)*c = a*(b*c) for a longer b.
+    For a one-letter b, (a*b)*c - a*(b*c) is
     a[:-1] . (the condition's lhs - rhs at (a[-1], b, c[0])) . c[1:] = 0.
     """
-    _admit(sm, degree - sm.max_degree())
+    _require_condition(sm)
     return None
 
 

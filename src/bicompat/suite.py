@@ -8,6 +8,7 @@ them on several workers and still emits results in fixed suite order.
 
 from __future__ import annotations
 
+import itertools
 import random
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
@@ -57,14 +58,13 @@ from .freealg import (
     cpoly_identity_suite,
     cpoly_multi_var_product,
     cpoly_single_var_product,
+    extend_star,
     generator_chain_space,
-    identity_witness_truncated,
     left_zero_star,
     mutation_star,
     right_zero_star,
     star_condition,
     truncated_centroid_dim,
-    verify_id_matching_truncated,
     words_up_to,
 )
 from .linalg import GF, QQ, Matrix, Subspace
@@ -469,13 +469,20 @@ def _entry_prop_41():
         right_zero_star(QQ, X),
         mutation_star(QQ, X, NCPoly(QQ, X, {"xy": 1})),
     ]
+    letters = [NCPoly.var(QQ, X, x) for x in X]
     applied = 0
     for sm in stars:
-        d = 5
-        if identity_witness_truncated(sm, "swap-matching", d) is None:
-            margin = d - sm.max_degree()
-            if identity_witness_truncated(sm, "totally-compatible", margin) is not None:
-                return False, "swap-matching star is not totally compatible within margin"
+        # (G1, G2, G3, G4) = ((a*b).c, (a.b)*c, a*(b.c), a.(b*c)) on the letter triples,
+        # which decide every family (see identity_witness_truncated)
+        sides = []
+        for a, b, c in itertools.product(letters, repeat=3):
+            ab, bc = extend_star(sm, a, b), extend_star(sm, b, c)
+            sides.append((ab.mul(c), extend_star(sm, a.mul(b), c), extend_star(sm, a, b.mul(c)), a.mul(bc)))
+        # swap-matching is G1 = G4 and G2 = G3, and on words G2 = G3 follows from G1 = G4
+        # because G1 = G3 and G2 = G4 by the extension's definition
+        if all(g1 == g4 for g1, _, _, g4 in sides):
+            if not all(g1 == g2 == g3 == g4 for g1, g2, g3, g4 in sides):
+                return False, "swap-matching star is not totally compatible"
             applied += 1
     return True, f"no zero divisors; swap implies totally-compatible for {applied} stars"
 
@@ -490,9 +497,6 @@ def _entry_prop_42():
     for name, sm in stars.items():
         if star_condition(sm) is not None:
             return False, f"{name} star fails the extension condition"
-        # degree = max image degree + 5: word triples of total degree <= 5
-        if verify_id_matching_truncated(sm, sm.max_degree() + 5) is not None:
-            return False, f"{name} star fails truncated verification"
     # regression: the sparse star x*x = y also satisfies the condition
     weird = StarMap(QQ, X, {("x", "x"): NCPoly.var(QQ, X, "y")})
     if star_condition(weird) is not None:

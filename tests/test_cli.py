@@ -262,13 +262,17 @@ def test_free_verify_degree_and_letter_budgets(tmp_path, capsys):
     sf.write_text(json.dumps(star))
     code, out, _ = run_cli(capsys, "free", "verify", str(sf), "--degree", "5", "--machine")
     assert code == 0 and json.loads(out.strip())["verified"] is True
+    # without --degree the degree is max image degree + 3, the least that checks a word triple
+    code, out, _ = run_cli(capsys, "free", "verify", str(sf), "--machine")
+    assert code == 0 and json.loads(out.strip()) == {"degree": 5, "verified": True}
     # degree - max image degree < 3 checks no word triple
     for degree in ("4", "0"):
         code, out, err = run_cli(capsys, "free", "verify", str(sf), "--degree", degree)
         assert code == 2 and "at least 5" in err and out == ""
+    # the letter triples decide every degree, so a large one is answered at once
     start = time.perf_counter()
-    code, _, err = run_cli(capsys, "free", "verify", str(sf), "--degree", "40")
-    assert code == 2 and "triples of words" in err
+    code, out, _ = run_cli(capsys, "free", "verify", str(sf), "--degree", "40", "--machine")
+    assert code == 0 and json.loads(out.strip()) == {"degree": 40, "verified": True}
     assert time.perf_counter() - start < 1.0
     letters = [chr(ord("A") + i) for i in range(33)]
     sf.write_text(json.dumps({"field": "Q", "vars": letters, "table": {}}))
@@ -399,6 +403,18 @@ def _starmap_doc(draw):
     return draw(_spoiled(doc))
 
 
+@st.composite
+def _quiver_doc(draw):
+    """A quiver document, valid or spoiled in one place: a few arrows (cycles and
+    out-of-range targets included), or a chain of m-fold arrows, whose paths
+    grow as m^length."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    arrow = st.tuples(vertex, vertex).map(lambda p: [min(p), max(p) + 1]) | st.tuples(vertex, vertex).map(list)
+    chain = st.integers(1, 4).map(lambda m: [[i, i + 1] for i in range(n - 1)] * m)
+    return draw(_spoiled({"vertices": n, "arrows": draw(st.lists(arrow, max_size=8) | chain)}))
+
+
 _KINDS = st.sampled_from(["compatible", "id-matching,swap-matching", "totally-compatible", "swap-matching", "nope"])
 
 
@@ -413,12 +429,13 @@ def _parses(load, doc):
 # Refusals come before any work: an input error exits within this many seconds.
 REFUSAL_S = 1.0
 
-# Degree caps for the budgeted free commands, each tried on every drawn input.
-# Caps up to 6 run admitted calls that stay cheap; every cap from 65 up is over
-# the budget of its command (MAX_CENTROID_CARRIER for centroid-dim,
-# MAX_WORD_TRIPLES for verify with star images of degree <= 3), so those
-# inputs must be refused quickly.
+# Degree caps for the free commands, each tried on every drawn input.  Caps up
+# to 6 run admitted centroid-dim calls that stay cheap, and every cap from 65 up
+# is over MAX_CENTROID_CARRIER, so those inputs must be refused quickly.  verify
+# decides every cap on the letter triples, so it must answer every cap quickly.
 _CAPS = (-1, 0, 2, 3, 4, 6, 65, 10**6, 10**12)
+# gen's --n, --rows and --cols: every size whose algebra is over MAX_DIM is refused quickly
+_SIZES = (-1, 0, 1, 5, 6, 33, 10**6)
 # centroid-dim's --mode, --vars and --field
 _CENTROID_ARGS = st.tuples(
     st.sampled_from(["nc", "commutative"]),
@@ -432,6 +449,7 @@ _CENTROID_ARGS = st.tuples(
     data=st.data(),
     command=st.sampled_from(
         ["check", "solve", "invariants", "check-star", "verify", "verify-degree", "centroid-dim"]
+        + ["gen-size", "gen-path"]
     ),
     kinds=_KINDS,
     machine=st.booleans(),
@@ -444,6 +462,8 @@ def test_fuzzed_documents_exit_by_contract(tmp_path_factory, data, command, kind
         "product": data.draw(_tensor_doc("product", dim, field)),
         "starmap": data.draw(_starmap_doc()),
     }
+    if command == "gen-path":
+        docs["quiver"] = data.draw(_quiver_doc())
     tmp = tmp_path_factory.mktemp("fuzz")
     paths = {}
     for name, doc in docs.items():
@@ -458,6 +478,13 @@ def test_fuzzed_documents_exit_by_contract(tmp_path_factory, data, command, kind
             ["free", "centroid-dim", "--mode", mode, "--vars", letters, "--degree", str(cap), "--field", fname]
             for cap in _CAPS
         ]
+    elif command == "gen-size":
+        cols = str(data.draw(st.sampled_from(_SIZES)))
+        argvs = [
+            argv
+            for size in map(str, _SIZES)
+            for argv in (["gen", "matrix", "--n", size], ["gen", "band", "--rows", size, "--cols", cols])
+        ]
     else:
         argvs = [
             {
@@ -466,10 +493,11 @@ def test_fuzzed_documents_exit_by_contract(tmp_path_factory, data, command, kind
                 "invariants": ["invariants", paths["algebra"]],
                 "check-star": ["free", "check-star", paths["starmap"]],
                 "verify": ["free", "verify", paths["starmap"]],
+                "gen-path": ["gen", "path", "--quiver", paths.get("quiver")],
             }[command]
         ]
     for argv in argvs:
-        argv += ["--machine"] if machine else []
+        argv += ["--machine"] if machine and argv[0] != "gen" else []
         err = io.StringIO()
         start = time.perf_counter()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -480,11 +508,11 @@ def test_fuzzed_documents_exit_by_contract(tmp_path_factory, data, command, kind
         elapsed = time.perf_counter() - start
         assert code in (0, 1, 2, 3, 4)
         assert "Traceback" not in err.getvalue()
-        if code == 2:
+        if code == 2 or command == "verify-degree":
             assert elapsed < REFUSAL_S, (argv, elapsed)
         if code == 1:
             if command == "check":
                 assert _parses(algebra_from_json, docs["algebra"]) and _parses(product_from_json, docs["product"])
             else:
-                assert command in ("check-star", "verify", "verify-degree")
+                assert command == "check-star"
                 assert _parses(starmap_from_json, docs["starmap"])

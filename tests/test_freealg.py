@@ -9,7 +9,6 @@ from _reference import poly_product, poly_terms
 from bicompat.freealg import (
     MAX_CENTROID_CARRIER,
     MAX_LETTERS,
-    MAX_WORD_TRIPLES,
     AlphabetMismatchError,
     ConditionNotVerifiedError,
     CPoly,
@@ -261,23 +260,24 @@ def test_verify_truncated():
         assert verify_id_matching_truncated(sm, sm.max_degree() + 5) is None
 
 
-def test_truncated_word_triple_budget():
+def test_truncated_checks_answer_every_cap():
+    # both checks are decided on the letter triples, so a large cap costs nothing and is answered
     cs = concat_star(QQ, X)
-    # 2 letters: sum_{t=3..cap} C(t-1, 2) 2^t is 917,496 triples at cap 13 and 2,195,448 at 14
-    assert sum(math.comb(t - 1, 2) * 2**t for t in range(3, 14)) <= MAX_WORD_TRIPLES
-    with pytest.raises(FreeAlgebraError, match="triples of words"):
-        identity_witness_truncated(cs, "id-matching", 14)
-    # verify's budget applies to degree - max image degree: 15 - 2 = 13 is admitted, 14 is not
-    assert verify_id_matching_truncated(cs, 15) is None
-    for degree in (16, 10**9):
-        with pytest.raises(FreeAlgebraError, match="triples of words"):
-            verify_id_matching_truncated(cs, degree)
-    # the condition is still checked first
+    for cap in (14, 10**9):
+        assert identity_witness_truncated(cs, "id-matching", cap) is None
+        assert identity_witness_truncated(cs, "totally-compatible", cap) is None
+        assert verify_id_matching_truncated(cs, cap) is None
+    lz = left_zero_star(QQ, X)
+    assert identity_witness_truncated(lz, "swap-matching", 10**9) == TruncatedWitness("G1=G4", ("x", "x", "y"))
+    # the family is checked first, then the condition, at every cap
     broken = StarMap(QQ, X, {("x", "y"): V("x")})
-    with pytest.raises(ConditionNotVerifiedError):
-        identity_witness_truncated(broken, "id-matching", 10**9)
-    with pytest.raises(ConditionNotVerifiedError):
-        verify_id_matching_truncated(broken, 10**9)
+    with pytest.raises(FreeAlgebraError, match="unknown identity family"):
+        identity_witness_truncated(broken, "nope", 10**9)
+    for cap in (2, 10**9):
+        with pytest.raises(ConditionNotVerifiedError):
+            identity_witness_truncated(broken, "id-matching", cap)
+        with pytest.raises(ConditionNotVerifiedError):
+            verify_id_matching_truncated(broken, cap)
 
 
 def test_starmap_letter_budget():
