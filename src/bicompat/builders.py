@@ -137,6 +137,11 @@ def centroid_product_span(dot: Product):
     return Subspace(f, n**3, rows)
 
 
+def _unit_label(prefix, a, b):
+    """e12 for one-digit indices; e1_11 once one has two, so e1_11 and e11_1 differ."""
+    return f"{prefix}{a}{b}" if a < 10 and b < 10 else f"{prefix}{a}_{b}"
+
+
 def rectangular_band_algebra(spec: BandSpec, field=QQ) -> Algebra:
     """Semigroup algebra of the I x J band: e_ij . e_kl = e_il."""
     n = spec.dim
@@ -146,7 +151,7 @@ def rectangular_band_algebra(spec: BandSpec, field=QQ) -> Algebra:
             for k in range(spec.rows):
                 for l in range(spec.cols):
                     triples.append((spec.index(i, j), spec.index(k, l), spec.index(i, l), 1))
-    labels = [f"e{i + 1}{j + 1}" for i in range(spec.rows) for j in range(spec.cols)]
+    labels = [_unit_label("e", i + 1, j + 1) for i in range(spec.rows) for j in range(spec.cols)]
     return Algebra(field, labels, Product.from_triples(n, field, triples), check=False)
 
 
@@ -164,7 +169,7 @@ def matrix_algebra(size: int, field=QQ) -> Algebra:
         for c in range(size):
             for v in range(size):
                 triples.append((idx(r, c), idx(c, v), idx(r, v), 1))
-    labels = [f"E{r + 1}{c + 1}" for r in range(size) for c in range(size)]
+    labels = [_unit_label("E", r + 1, c + 1) for r in range(size) for c in range(size)]
     return Algebra(field, labels, Product.from_triples(n, field, triples), check=False)
 
 

@@ -39,7 +39,7 @@ from .linalg import (
     LinalgError,
     ShapeMismatchError,
     Subspace,
-    kernel_from_rows,
+    kernel_of_int_rows,
 )
 
 
@@ -251,15 +251,17 @@ def solve_linear(kind: Kind, dot: Product) -> ProductSpace:
         raise LinalgError(f"{n}^3 = {n**3} unknowns exceed the solver budget of {MAX_UNKNOWNS}")
     require_associative(dot)
     t = _int_tables(dot)
-    rows = []
+    rows = {}  # each distinct zero-free row once, in order of first occurrence
     for lhs, rhs in IDENTITIES[kind]:
         for i in range(n):
             by_slot = [{} for _ in range(n**3)]
             for exprs, sign in ((lhs, 1), (rhs, -1)):
                 for expr in exprs:
                     _add_expression(by_slot, expr, t, i, n, sign)
-            rows += filter(None, by_slot)
-    return ProductSpace(dot, kind, kernel_from_rows(dot.field, n**3, rows))
+            for row in filter(None, by_slot):
+                rows[tuple([(c, v) for c, v in row.items() if v])] = None
+    rows.pop((), None)  # a row whose terms all cancelled
+    return ProductSpace(dot, kind, kernel_of_int_rows(dot.field, n**3, rows))
 
 
 @dataclass(frozen=True, slots=True)

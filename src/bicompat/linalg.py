@@ -576,7 +576,19 @@ def kernel_from_rows(field, ncols, sparse_rows):
     dropped here; a row equal to another only up to scale goes to the
     engine, where it costs one sparse dot product.
     """
-    rows = _distinct_rows(field, sparse_rows)
+    return kernel_of_int_rows(field, ncols, _distinct_rows(field, sparse_rows))
+
+
+def kernel_of_int_rows(field, ncols, rows):
+    """Kernel of distinct integer rows, as a canonical Subspace: the engine
+    entry for producers that build such rows themselves.
+
+    Trusted, not checked: each row is a nonempty tuple of (col, int) pairs,
+    0 <= col < ncols, no col twice, no int 0 (ints are exact in both
+    characteristics), and no row occurs twice.  `kernel_from_rows` brings
+    any other rows to this form.  Rows go lightest first, stably.
+    """
+    rows = sorted(rows, key=len)
     if not rows or ncols == 0:
         return Subspace.full(field, ncols)
     if isinstance(field, PrimeField):
@@ -594,7 +606,7 @@ def kernel_from_rows(field, ncols, sparse_rows):
 
 
 def _distinct_rows(field, sparse_rows):
-    """Each nonzero row once, as its zero-free (col, int) pairs, lightest first.
+    """Each nonzero row once, as its zero-free (col, int) pairs, first occurrence first.
 
     Rows are not rescaled: int rows are taken as they are, other values are
     coerced (so junk raises) and over Q cleared of denominators.  Only
@@ -616,7 +628,7 @@ def _distinct_rows(field, sparse_rows):
             items = tuple([(c, v) for c, v in items if v])
         if items:
             seen[items] = None
-    return sorted(seen, key=len)
+    return seen
 
 
 def _kernel_modp(rows, ncols, p):

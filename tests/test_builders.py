@@ -63,6 +63,16 @@ def test_matrix_algebra_units():
     assert out == basis_vector(QQ, 4, 0)
 
 
+def test_unit_labels_stay_distinct_past_nine():
+    # E1 then 11 and E11 then 1 must not both read "E111"
+    assert matrix_algebra(3, QQ).labels[:4] == ("E11", "E12", "E13", "E21")
+    assert rectangular_band_algebra(BandSpec(3, 2)).labels[-2:] == ("e31", "e32")
+    for alg in (matrix_algebra(11, GF(2)), rectangular_band_algebra(BandSpec(11, 11), GF(2))):
+        assert len(set(alg.labels)) == alg.dim == 121
+    labels = matrix_algebra(11, GF(2)).labels
+    assert (labels[0], labels[10], labels[110], labels[120]) == ("E11", "E1_11", "E11_1", "E11_11")
+
+
 def test_direct_sum_blocks():
     two = direct_sum([matrix_algebra(1, QQ), matrix_algebra(1, QQ)])
     assert two.dim == 2

@@ -468,3 +468,23 @@ def test_large_prime_fields():
         GF(3215031751)  # 151 * 751 * 28351, a strong pseudoprime to bases 2, 3, 5, 7
     with pytest.raises(LinalgError):
         GF(2**127 - 1)  # prime, but beyond the deterministic Miller-Rabin range
+
+
+def test_band_4x4_solve_grows_peak_rss_by_under_40_mb():
+    # The row intake keeps each distinct row once: a list of every raw row
+    # (196608 of them here, most duplicates) took the peak up by about 70 MB.
+    code = (
+        "import resource\n"
+        "from bicompat.builders import BandSpec, rectangular_band_algebra\n"
+        "from bicompat.compat import Kind, solve_linear\n"
+        "from bicompat.linalg import QQ\n"
+        "alg = rectangular_band_algebra(BandSpec(4, 4), QQ)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "dim = solve_linear(Kind.TOTALLY_COMPATIBLE, alg.dot).space.dim\n"
+        "print(dim, (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    dim, grown_mb = proc.stdout.split()
+    assert dim == "1"
+    assert float(grown_mb) < 40, f"peak RSS grew by {grown_mb} MB"
