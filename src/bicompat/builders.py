@@ -298,25 +298,11 @@ def example_band22(field=QQ):
     """2x2 band with the swap-matching product supported on (i, l) = (1, 2).
 
     star sends e_1j * e_k2 to e11 - e12 - e21 + e22 (an annihilator element)
-    and everything else to zero; it is associative but not totally compatible.
+    and everything else to zero: `band_swap_matching` with lam = 0 and r
+    supported at (1, 2).  It is associative but not totally compatible.
     """
     spec = BandSpec(2, 2)
-    alg = rectangular_band_algebra(spec, field)
-    f = field
-    z = {
-        spec.index(0, 0): f.one,
-        spec.index(0, 1): f.neg(f.one),
-        spec.index(1, 0): f.neg(f.one),
-        spec.index(1, 1): f.one,
-    }
-    triples = []
-    for j in range(2):
-        for k in range(2):
-            a = spec.index(0, j)
-            b = spec.index(k, 1)
-            for out, v in z.items():
-                triples.append((a, b, out, v))
-    return alg, Product.from_triples(4, field, triples)
+    return rectangular_band_algebra(spec, field), band_swap_matching(spec, 0, {(0, 1): [1, -1, -1, 1]}, field)
 
 
 def band_id_matching(spec: BandSpec, lam, field=QQ) -> Product:

@@ -19,6 +19,7 @@ linear space of coefficient tensors satisfying a notion against `dot`.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass
 
@@ -172,14 +173,18 @@ class ProductSpace:
     base: Product
     kind: Kind
     space: Subspace
+    # built on the first basis_products() call and kept, with each Product's associativity witness
+    _products: tuple | None = dataclasses.field(default=None, init=False, compare=False, repr=False)
 
     @property
     def dim(self):
         return self.space.dim
 
     def basis_products(self):
-        n = self.base.dim
-        return [Product.from_flat(n, self.base.field, row) for row in self.space.basis]
+        if self._products is None:
+            n, f = self.base.dim, self.base.field
+            object.__setattr__(self, "_products", tuple(Product.from_flat(n, f, row) for row in self.space.basis))
+        return list(self._products)
 
     def contains(self, star: Product):
         _check_pair(star, self.base)

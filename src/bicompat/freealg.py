@@ -490,13 +490,8 @@ def verify_id_matching_truncated(sm: StarMap, degree: int):
 
 
 def concat_star(field, alphabet, scalar=1) -> StarMap:
-    """x star y = scalar * xy; extends to scalar times concatenation."""
-    table = {
-        (x, y): NCPoly.word(field, alphabet, x + y, scalar)
-        for x in alphabet
-        for y in alphabet
-    }
-    return StarMap(field, alphabet, table)
+    """x star y = scalar * xy, the mutation star by a constant; extends to scalar times concatenation."""
+    return mutation_star(field, alphabet, NCPoly.word(field, alphabet, "", scalar))
 
 
 def left_zero_star(field, alphabet) -> StarMap:
@@ -542,13 +537,9 @@ class SingleVarShiftProduct:
         b._peer(self.p)
         if not (a.is_aug_zero() and b.is_aug_zero()):
             raise NonzeroConstantTermError("factors must have zero constant term")
-        f = self.field
-        out = CPoly.zero(f, self.alphabet)
-        for (m,), ca in a.terms.items():
-            for (n,), cb in b.terms.items():
-                shift = CPoly.monomial(f, self.alphabet, (m + n - 2,), f.mul(ca, cb))
-                out = out.add(shift.mul(self.p))
-        return out
+        # neither factor has a constant term, so every exponent of a.b is at least 2
+        ab = a.mul(b)
+        return CPoly._clean(self.field, self.alphabet, {(e - 2,): v for (e,), v in ab.terms.items()}).mul(self.p)
 
 
 class MultiplierProduct:
@@ -651,37 +642,24 @@ def truncated_centroid_dim(kind: str, alphabet, degree: int, field=QQ) -> int:
             raise FreeAlgebraError(
                 f"{kind} centroid, {k} letters, degree {degree}: over {MAX_CENTROID_CARRIER} words or monomials"
             )
-    poly = NCPoly if kind == "nc" else CPoly
-    combine, deg = poly._mono_mul, poly._mono_deg
-    if kind == "nc":
-        carrier = words_up_to(alphabet, degree)
-        strip_prefix = lambda t, w: t[len(w):] if t.startswith(w) and len(t) > len(w) else None
-        strip_suffix = lambda t, w: t[: -len(w)] if t.endswith(w) and len(t) > len(w) else None
-    else:
-        carrier = monomials_up_to(alphabet, degree)
-
-        def strip_prefix(t, w):
-            diff = tuple(a - b for a, b in zip(t, w))
-            if any(x < 0 for x in diff) or not any(diff):
-                return None
-            return diff
-
-        strip_suffix = strip_prefix
+    poly, monos = (NCPoly, words_up_to) if kind == "nc" else (CPoly, monomials_up_to)
+    carrier = monos(alphabet, degree)
     index = {w: i for i, w in enumerate(carrier)}
     size = len(carrier)
+    # the product table within the cap, and its quotients: (u, t) -> s and (t, s) -> u for u.s = t
+    deg = poly._mono_deg
+    table = {(u, s): poly._mono_mul(u, s) for u in carrier for s in carrier if deg(u) + deg(s) <= degree}
+    left = {(u, t): s for (u, s), t in table.items()}
+    right = {(t, s): u for (u, s), t in table.items()}
     rows = []
-    for w1 in carrier:
-        for w2 in carrier:
-            if deg(w1) + deg(w2) > degree:
-                continue
-            w = combine(w1, w2)
-            for t in carrier:
-                # phi(w)[t] - (w1 . phi(w2))[t] = 0 and phi(w)[t] - (phi(w1) . w2)[t] = 0
-                for s, other in ((strip_prefix(t, w1), w2), (strip_suffix(t, w2), w1)):
-                    row = Counter({index[w] * size + index[t]: 1})
-                    if s is not None and deg(s) <= degree:
-                        row[index[other] * size + index[s]] -= 1
-                    rows.append(row)
+    for (w1, w2), w in table.items():
+        for t in carrier:
+            # phi(w)[t] - (w1 . phi(w2))[t] = 0 and phi(w)[t] - (phi(w1) . w2)[t] = 0
+            for s, other in ((left.get((w1, t)), w2), (right.get((t, w2)), w1)):
+                row = {index[w] * size + index[t]: 1}
+                if s is not None:
+                    row[index[other] * size + index[s]] = -1
+                rows.append(row)
     return kernel_from_rows(field, size * size, rows).dim
 
 

@@ -118,6 +118,17 @@ def builder_zoo(field):
     ]
 
 
+def _one_space(dot, kinds, span=None):
+    """Whether the cached solution spaces of `kinds` against dot, and span(dot) if given, are one space."""
+    spaces = [cached_solve(kind, dot).space for kind in kinds]
+    if span is not None:
+        spaces.append(span(dot))
+    return all(s == spaces[0] for s in spaces[1:])
+
+
+_ONE_SIDED = (Kind.SWAP_MATCHING, Kind.INTERCHANGEABLE, Kind.TOTALLY_COMPATIBLE)
+
+
 def _kindset(star, dot):
     return {kind: check(kind, star, dot).holds for kind in Kind}
 
@@ -220,21 +231,18 @@ def _entry_lemma_23():
 def _entry_prop_22():
     details = []
     for alg, want in ((matrix_algebra(2, QQ), 4), (matrix_algebra(3, GF(5)), 9)):
-        ps = cached_solve(Kind.ID_MATCHING, alg.dot)
-        span = mutation_span(alg.dot)
-        if ps.space != span or ps.dim != want:
+        dim = cached_solve(Kind.ID_MATCHING, alg.dot).dim
+        if dim != want or not _one_space(alg.dot, [Kind.ID_MATCHING], mutation_span):
             return False, f"id-matching space != mutation span on dim {alg.dim}"
-        details.append(f"dim {alg.dim}: {ps.dim}")
+        details.append(f"dim {alg.dim}: {dim}")
     return True, "id-matching = mutations; " + ", ".join(details)
 
 
 def _entry_prop_25():
     for alg in (matrix_algebra(2, QQ), matrix_algebra(3, GF(5))):
-        image = centroid_product_span(alg.dot)
-        for kind in (Kind.SWAP_MATCHING, Kind.INTERCHANGEABLE, Kind.TOTALLY_COMPATIBLE):
-            ps = cached_solve(kind, alg.dot)
-            if ps.space != image or ps.dim != 1:
-                return False, f"{kind.value} space mismatch on dim {alg.dim}"
+        dim = cached_solve(Kind.TOTALLY_COMPATIBLE, alg.dot).dim
+        if dim != 1 or not _one_space(alg.dot, _ONE_SIDED, centroid_product_span):
+            return False, f"one-sided spaces != centroid image of dim 1 on dim {alg.dim}"
     return True, "swap = interchangeable = totally-compatible = centroid image, dim 1"
 
 
@@ -322,9 +330,7 @@ def _entry_prop_31():
     for alg in algebras:
         if not is_idempotent_algebra(alg.dot):
             return False, f"builder algebra of dim {alg.dim} not idempotent"
-        inter = cached_solve(Kind.INTERCHANGEABLE, alg.dot)
-        tc = cached_solve(Kind.TOTALLY_COMPATIBLE, alg.dot)
-        if inter.space != tc.space:
+        if not _one_space(alg.dot, [Kind.INTERCHANGEABLE, Kind.TOTALLY_COMPATIBLE]):
             return False, f"interchangeable != totally-compatible on dim {alg.dim}"
     return True, f"{len(algebras)} idempotent algebras: interchangeable space = totally-compatible space"
 
@@ -342,9 +348,7 @@ def _entry_prop_32():
         has_unit = find_units(alg.dot, "left") is not None or find_units(alg.dot, "right") is not None
         if not has_unit:
             return False, f"expected a one-sided unit on dim {alg.dim}"
-        swap = cached_solve(Kind.SWAP_MATCHING, alg.dot)
-        tc = cached_solve(Kind.TOTALLY_COMPATIBLE, alg.dot)
-        if swap.space != tc.space:
+        if not _one_space(alg.dot, [Kind.SWAP_MATCHING, Kind.TOTALLY_COMPATIBLE]):
             return False, f"swap-matching != totally-compatible on dim {alg.dim}"
         used += 1
     return True, f"{used} one-sided-unital algebras: swap space = totally-compatible space"
@@ -413,12 +417,7 @@ def _entry_gamma_band():
 
 def _entry_left_right_zero():
     for spec in [BandSpec(1, k) for k in range(2, 5)] + [BandSpec(k, 1) for k in range(2, 5)]:
-        alg = rectangular_band_algebra(spec, QQ)
-        swap = cached_solve(Kind.SWAP_MATCHING, alg.dot)
-        tc = cached_solve(Kind.TOTALLY_COMPATIBLE, alg.dot)
-        inter = cached_solve(Kind.INTERCHANGEABLE, alg.dot)
-        image = centroid_product_span(alg.dot)
-        if not (swap.space == tc.space == inter.space == image):
+        if not _one_space(rectangular_band_algebra(spec, QQ).dot, _ONE_SIDED, centroid_product_span):
             return False, f"band {spec.rows}x{spec.cols}: spaces differ"
     return True, "one-line bands: swap = interchangeable = totally-compatible = centroid image"
 
@@ -433,20 +432,14 @@ def _enough_idempotents_algebras():
 
 def _entry_id_enough_idemp():
     for alg in _enough_idempotents_algebras():
-        ps = cached_solve(Kind.ID_MATCHING, alg.dot)
-        span = mutation_span(alg.dot)
-        if ps.space != span:
+        if not _one_space(alg.dot, [Kind.ID_MATCHING], mutation_span):
             return False, f"id-matching space != mutation span on dim {alg.dim}"
     return True, "id-matching = products a.x.b on path algebra and direct sums"
 
 
 def _entry_comp_enough_idemp():
     for alg in _enough_idempotents_algebras():
-        image = centroid_product_span(alg.dot)
-        swap = cached_solve(Kind.SWAP_MATCHING, alg.dot)
-        tc = cached_solve(Kind.TOTALLY_COMPATIBLE, alg.dot)
-        inter = cached_solve(Kind.INTERCHANGEABLE, alg.dot)
-        if not (swap.space == tc.space == inter.space == image):
+        if not _one_space(alg.dot, _ONE_SIDED, centroid_product_span):
             return False, f"spaces differ on dim {alg.dim}"
     return True, "swap = interchangeable = totally-compatible = centroid image"
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -62,12 +63,33 @@ def test_gen_path(tmp_path, capsys):
     assert alg == path_algebra(QuiverSpec(3, [(0, 1), (1, 2)]))
 
 
+# sha256 prefixes of each example's files (algebra, star, star2 in that order), as recorded
+# before example_band22 was built through band_swap_matching
+GEN_EXAMPLE_SHA256 = {
+    ("3dim", "Q"): "835a329d6cd4edc7",
+    ("3dim", "F2"): "bf8720da4aa349ce",
+    ("3dim", "F5"): "96d4419e7727119d",
+    ("6dim", "Q"): "0c8d1b0abe2a41ec",
+    ("6dim", "F2"): "0c052e02fb506e7e",
+    ("6dim", "F5"): "b4c601752840dc00",
+    ("band22", "Q"): "d4155fbfb58aa28d",
+    ("band22", "F2"): "f153417fad9dfa46",
+    ("band22", "F5"): "e02def541a9f3757",
+}
+
+
 def test_gen_example_files(tmp_path, capsys):
     prefix = str(tmp_path / "ex")
     code, _, _ = run_cli(capsys, "gen", "example", "--name", "3dim", "--prefix", prefix)
     assert code == 0
     for part in ("algebra", "star", "star2"):
         assert (tmp_path / f"ex.{part}.json").exists()
+    for (name, field), digest in GEN_EXAMPLE_SHA256.items():
+        prefix = tmp_path / f"{name}-{field}"
+        code, _, _ = run_cli(capsys, "gen", "example", "--name", name, "--field", field, "--prefix", str(prefix))
+        parts = [tmp_path / f"{prefix.name}.{part}.json" for part in ("algebra", "star", "star2")]
+        data = b"".join(path.read_bytes() for path in parts if path.exists())
+        assert code == 0 and hashlib.sha256(data).hexdigest()[:16] == digest, (name, field)
 
 
 def test_check_holds_exit_zero(example_files, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from collections import defaultdict
@@ -50,7 +51,7 @@ from bicompat.compat import (
     solve_linear,
     sum_product,
 )
-from bicompat.linalg import GF, QQ, Matrix
+from bicompat.linalg import GF, QQ, Matrix, Subspace
 from bicompat.suite import builder_zoo, rand_invertible, rand_subspace_member, rand_vector
 
 
@@ -344,6 +345,23 @@ def test_new_products_evaluate_their_own_witness(assoc_evaluations):
         for q in new:
             assert q == p and associativity_witness(q) == witness
         assert len(assoc_evaluations) == before + len(new)
+
+
+def test_space_builds_its_basis_products_once(assoc_evaluations):
+    ps = solve_linear(Kind.SWAP_MATCHING, rectangular_band_algebra(BandSpec(2, 2)).dot)
+    before = len(assoc_evaluations)
+    assert all_members_associative(ps).all_associative
+    assert len(assoc_evaluations) == before + ps.dim == before + 5  # each member, once
+    products = ps.basis_products()
+    assert all_members_associative(ps).all_associative and ps.to_json()["dimension"] == 5
+    assert len(assoc_evaluations) == before + 5
+    assert all(p is q for p, q in zip(products, ps.basis_products()))
+    # a replaced space builds the products of its own basis
+    smaller = dataclasses.replace(ps, space=Subspace(QQ, ps.space.ambient_dim, ps.space.basis[1:]))
+    assert smaller != ps and dataclasses.replace(ps, space=ps.space) == ps
+    assert [p.flatten() for p in smaller.basis_products()] == [list(row) for row in smaller.space.basis]
+    assert all_members_associative(smaller).all_associative
+    assert len(assoc_evaluations) == before + 5 + 4
 
 
 # -- test-only references built on the public `multiply` ---------------------

@@ -205,6 +205,16 @@ def test_star_conditions():
     # regression: the sparse star x*x = y satisfies the condition
     weird = StarMap(QQ, X, {("x", "x"): V("y")})
     assert star_condition(weird) is None
+    # the concatenation star x*y = c xy, c = 0 included, and its alphabet checks
+    for f in (QQ, GF(2), GF(5)):
+        for c in (1, 3, -1, 0):
+            sm = concat_star(f, "xyz", c)
+            assert sm.alphabet == ("x", "y", "z") and star_condition(sm) is None
+            assert sm.table == {(a, b): NCPoly.word(f, "xyz", a + b, c) for a in "xyz" for b in "xyz"}
+    assert all(p.is_zero() for p in concat_star(QQ, X, 0).table.values())
+    for bad, message in (("", "nonempty"), ("xx", "distinct"), (["ab"], "single characters"), ([1], "single")):
+        with pytest.raises(FreeAlgebraError, match=message):
+            concat_star(QQ, bad)
 
 
 def test_star_condition_failure_found():
@@ -532,8 +542,10 @@ def test_generator_chain_space_other_degrees():
 
 
 def test_truncated_centroid_nc_frozen():
-    assert truncated_centroid_dim("nc", X, 2) == 9
-    assert truncated_centroid_dim("nc", X, 3) == 17
+    frozen = {X: {2: 9, 3: 17, 4: 33, 5: 65}, ("x", "y", "z"): {2: 28, 3: 82}}
+    for f in (QQ, GF(2), GF(3)):
+        for letters, dims in frozen.items():
+            assert {d: truncated_centroid_dim("nc", letters, d, f) for d in dims} == dims, (f, letters)
 
 
 def test_truncated_centroid_commutative_single_var():
@@ -542,7 +554,10 @@ def test_truncated_centroid_commutative_single_var():
 
 
 def test_truncated_centroid_commutative_two_vars_frozen():
-    assert truncated_centroid_dim("commutative", X, 2) == 7
+    frozen = {X: {2: 7, 3: 11, 4: 16, 5: 22, 6: 29, 7: 37}, ("x", "y", "z"): {2: 19, 3: 34, 4: 55}}
+    for f in (QQ, GF(2), GF(3)):
+        for letters, dims in frozen.items():
+            assert {d: truncated_centroid_dim("commutative", letters, d, f) for d in dims} == dims, (f, letters)
 
 
 def test_truncated_centroid_over_prime_field():
@@ -589,6 +604,22 @@ def test_single_var_shift_product():
     assert star_x.mul(a, CPoly.monomial(QQ, x, (2,))) == CPoly.monomial(QQ, x, (2,))
     zero = cpoly_single_var_product(CPoly.zero(QQ, x))
     assert zero.mul(a, b).is_zero()
+    # seeded polynomials against the term-by-term expansion sum ca cb x^(m + n - 2) p
+    rng = random.Random(5)
+    for f in (QQ, GF(2), GF(3), GF(5)):
+        for _ in range(50):
+            p, a, b = ({(rng.randrange(1, 6),): rng.randrange(-3, 4) for _ in range(rng.randrange(4))} for _ in range(3))
+            expected = poly_terms(
+                f,
+                [
+                    ((m + n - 2 + e,), f.mul(f.mul(f.coerce(ca), f.coerce(cb)), f.coerce(cp)))
+                    for (m,), ca in a.items()
+                    for (n,), cb in b.items()
+                    for (e,), cp in p.items()
+                ],
+            )
+            got = cpoly_single_var_product(CPoly(f, x, p)).mul(CPoly(f, x, a), CPoly(f, x, b))
+            assert got.terms == expected, (f, p, a, b)
 
 
 def test_single_var_requirements():
