@@ -545,8 +545,8 @@ class SingleVarShiftProduct:
 class MultiplierProduct:
     """a * b = p . a . b, the product determined by multiplication by p."""
 
-    def __init__(self, p: CPoly, *, require_multi=True):
-        if require_multi and len(p.alphabet) < 2:
+    def __init__(self, p: CPoly):
+        if len(p.alphabet) < 2:
             raise WrongVariableCountError("multiplier product is for |X| >= 2")
         self.p = p
         self.field = p.field

@@ -5,13 +5,13 @@ over F_p); a field object supplies the arithmetic.  Matrices and subspaces
 are immutable, and every subspace holds its canonical reduced row echelon
 basis, so subspace equality is entrywise comparison of bases.
 
-Spanning sets are canonicalized by one exact dense Gauss-Jordan,
-`_rref_rows`, which serves the `Subspace` constructor, `rref` and the
-particular solution of `solve`.  Every kernel comes from one sparse modular
-engine: kernel-update elimination modulo a prime, and over Q rational
-reconstruction from several primes followed by an exact certificate.  The
-basis it keeps is the canonical one, certified when it is built, so it is
-handed to `Subspace` as it is, without a second check.
+Every echelon form and kernel comes from one sparse modular engine:
+kernel-update elimination modulo a prime, and over Q rational reconstruction
+from several primes followed by an exact certificate.  Its kernel basis is
+the canonical one, so `Subspace` takes it as it is.  A spanning set is one
+engine run on its used columns in reverse order: that kernel's annihilator,
+read back, is the span's canonical basis.  `rref`, `solve` and `intersect`
+read their answers off spans and annihilators.
 """
 
 from __future__ import annotations
@@ -346,38 +346,11 @@ def _dot(field, u, v):
     return acc
 
 
-def _rref_rows(field, rows):
-    """Full Gauss-Jordan on a list of row lists, in place.  Returns pivot cols."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    zero = field.zero
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if rows[i][c] != zero), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = field.inv(rows[r][c])
-        if inv != field.one:
-            rows[r] = [field.mul(inv, v) for v in rows[r]]
-        top = rows[r]
-        for i in range(nrows):
-            f = rows[i][c]
-            if i != r and f != zero:
-                rows[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(rows[i], top)]
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
 def rref(m: Matrix):
-    """Reduced row echelon form of m.  Returns (rref matrix, rank)."""
-    rows = [list(r) for r in m.rows]
-    pivots = _rref_rows(m.field, rows)
-    return Matrix(m.field, rows), len(pivots)
+    """Reduced row echelon form of m, zero rows last.  Returns (rref matrix, rank)."""
+    span = Subspace(m.field, m.ncols, m.rows)
+    zero_row = (m.field.zero,) * m.ncols
+    return Matrix(m.field, list(span.basis) + [zero_row] * (m.nrows - span.dim)), span.dim
 
 
 class Subspace:
@@ -389,12 +362,19 @@ class Subspace:
         self.field = field
         self.ambient_dim = ambient_dim
         work = [[field.coerce(v) for v in row] for row in rows]
-        for row in work:
-            if len(row) != ambient_dim:
-                raise ShapeMismatchError("basis row length != ambient dim")
-        pivots = _rref_rows(field, work)
-        self.basis = tuple(tuple(r) for r in work[: len(pivots)])
-        self.pivots = tuple(pivots)
+        if any(len(row) != ambient_dim for row in work):
+            raise ShapeMismatchError("basis row length != ambient dim")
+        # The engine runs on the used columns, reversed, so each kernel vector
+        # ends at its 1 and each annihilator row starts at its 1, with 0 at
+        # the other rows' 1s: the annihilator's rows are the RREF.
+        rows = _distinct_rows(field, [{c: v for c, v in enumerate(row) if v} for row in work])
+        cols = sorted({c for items in rows for c, _ in items}, reverse=True)
+        local = {c: i for i, c in enumerate(cols)}
+        ker = _kernel_basis(field, len(cols), [tuple([(local[c], v) for c, v in items]) for items in rows])
+        ker = [{cols[c]: v for c, v in vec.items()} for vec in ker]
+        span = _annihilator(field, cols[::-1], [vec.items() for vec in ker], [max(vec) for vec in ker])
+        self.pivots = tuple(span)
+        self.basis = tuple(_densify(field, ambient_dim, span.values()))
 
     @classmethod
     def _canonical(cls, field, ambient_dim, basis, pivots):
@@ -440,28 +420,12 @@ class Subspace:
         return all(self.member(row) for row in other.basis)
 
     def intersect(self, other):
+        """The vectors in both spaces: the kernel of ann(self) + ann(other)."""
         self._check_peer(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.field, self.ambient_dim)
-        if self.ambient_dim == 0:
-            return Subspace.zero(self.field, 0)
-        f = self.field
-        d1, d2 = self.dim, other.dim
-        # columns: coefficients on self.basis then other.basis
-        rows = []
-        for i in range(self.ambient_dim):
-            row = [self.basis[a][i] for a in range(d1)]
-            row += [f.neg(other.basis[b][i]) for b in range(d2)]
-            rows.append(row)
-        ker = kernel(Matrix(f, rows))
-        combo_rows = []
-        for kv in ker.basis:
-            vec = [f.zero] * self.ambient_dim
-            for a in range(d1):
-                if kv[a] != f.zero:
-                    vec = [f.add(x, f.mul(kv[a], y)) for x, y in zip(vec, self.basis[a])]
-            combo_rows.append(vec)
-        return Subspace(f, self.ambient_dim, combo_rows)
+        f, n = self.field, self.ambient_dim
+        rows = [*_annihilator(f, range(n), map(enumerate, self.basis), self.pivots).values()]
+        rows += _annihilator(f, range(n), map(enumerate, other.basis), other.pivots).values()
+        return kernel_from_rows(f, n, rows)
 
     def sum(self, other):
         self._check_peer(other)
@@ -529,20 +493,19 @@ def kernel(m: Matrix) -> Subspace:
 def solve(m: Matrix, b):
     """All solutions of m x = b, or None when the system is infeasible.
 
-    The particular solution is read off the RREF of [m | b], with every free
-    variable 0; the directions are `kernel(m)`.
+    The particular solution is read off the canonical basis of the span of
+    [m | b], with every free variable 0; the directions are `kernel(m)`.
     """
     f = m.field
     b = [f.coerce(x) for x in b]
     if len(b) != m.nrows:
         raise ShapeMismatchError("rhs length != row count")
     nc = m.ncols
-    rows = [list(r) + [bv] for r, bv in zip(m.rows, b)]
-    pivots = _rref_rows(f, rows)
-    if pivots and pivots[-1] == nc:
+    span = Subspace(f, nc + 1, [r + (bv,) for r, bv in zip(m.rows, b)])
+    if nc in span.pivots:
         return None
     particular = [f.zero] * nc
-    for row, pc in zip(rows, pivots):
+    for row, pc in zip(span.basis, span.pivots):
         particular[pc] = row[nc]
     return AffineSubspace(tuple(particular), kernel(m))
 
@@ -576,7 +539,10 @@ def kernel_from_rows(field, ncols, sparse_rows):
     dropped here; a row equal to another only up to scale goes to the
     engine, where it costs one sparse dot product.
     """
-    return kernel_of_int_rows(field, ncols, _distinct_rows(field, sparse_rows))
+    rows = _distinct_rows(field, sparse_rows)
+    if not all(type(c) is int and 0 <= c < ncols for c in {c for items in rows for c, _ in items}):
+        raise ShapeMismatchError(f"a row has a column outside range({ncols})")
+    return kernel_of_int_rows(field, ncols, rows)
 
 
 def kernel_of_int_rows(field, ncols, rows):
@@ -588,21 +554,46 @@ def kernel_of_int_rows(field, ncols, rows):
     characteristics), and no row occurs twice.  `kernel_from_rows` brings
     any other rows to this form.  Rows go lightest first, stably.
     """
-    rows = sorted(rows, key=len)
     if not rows or ncols == 0:
         return Subspace.full(field, ncols)
+    basis = _kernel_basis(field, ncols, rows)
+    # the engine's vectors come in free-column order, each with its leading 1 there
+    return Subspace._canonical(field, ncols, _densify(field, ncols, basis), [min(vec) for vec in basis])
+
+
+def _kernel_basis(field, ncols, rows):
+    """The engine's canonical kernel basis of distinct integer rows, as {col: value} rows."""
+    rows = sorted(rows, key=len)
     if isinstance(field, PrimeField):
-        basis = _kernel_modp(rows, ncols, field.p)
-    else:
-        basis = _kernel_q(rows, ncols)
+        return _kernel_modp(rows, ncols, field.p)
+    return _kernel_q(rows, ncols)
+
+
+def _densify(field, ncols, vecs):
+    """{col: value} vectors as dense tuples, each distinct value held once."""
     dense, shared = [], {} if isinstance(field, PrimeField) else _SMALL_Q.copy()
-    for vec in basis:
+    for vec in vecs:
         row = [field.zero] * ncols
         for c, v in vec.items():
-            row[c] = shared.setdefault(v, v)  # a basis holds each distinct value once
+            row[c] = shared.setdefault(v, v)
         dense.append(tuple(row))
-    # the engine's vectors come in free-column order, each with its leading 1 there
-    return Subspace._canonical(field, ncols, dense, [min(vec) for vec in basis])
+    return dense
+
+
+def _annihilator(field, cols, basis, pivots):
+    """Rows spanning the vectors on `cols` orthogonal to an RREF-shaped basis.
+
+    `basis` gives each row's (col, value) pairs: 1 at its pivot and 0 at
+    the other pivots.  For each other column c the row e_c - sum_r
+    basis[r][c] e_pivots[r] is orthogonal to every basis row; it is keyed c.
+    """
+    skip = set(pivots)
+    ann = {c: {c: field.one} for c in cols if c not in skip}
+    for items, pc in zip(basis, pivots):
+        for c, v in items:
+            if v and c != pc:
+                ann[c][pc] = field.neg(v)
+    return ann
 
 
 def _distinct_rows(field, sparse_rows):
@@ -683,7 +674,8 @@ def _kernel_q(rows, ncols):
     combined only across primes with the best signature seen.
     """
     best = None
-    for p in filter(_is_prime, range(2**31 - 1, 2, -2)):
+    p = 2**31 + 1
+    while p := _prime_before(p):
         basis = _kernel_modp(rows, ncols, p)
         sig = (len(basis), [min(v) for v in basis])
         if best is None or sig < best:
@@ -701,6 +693,12 @@ def _kernel_q(rows, ncols):
         if all(None not in vec.values() for vec in candidate) and _annihilates(rows, candidate):
             return candidate
     raise LinalgError("no prime below 2**31 certified the kernel")
+
+
+@lru_cache(maxsize=None)
+def _prime_before(q):
+    """The largest prime below the odd number q, or None below 3: each prime is proved once."""
+    return next(filter(_is_prime, range(q - 2, 2, -2)), None)
 
 
 def _rat_reconstruct(a, q, bound):

@@ -1,10 +1,46 @@
-"""References used only by the tests: for the sparse kernel engine, a dense
-exact Gauss-Jordan and the pivot-row form of modular elimination; for the
-free-algebra polynomials, arithmetic on plain {monomial: value} dicts."""
+"""References used only by the tests.  For the sparse engine, which gives
+every echelon form and kernel in the library: a dense exact Gauss-Jordan,
+kept here so that no engine differential compares the engine with itself,
+and the pivot-row form of modular elimination.  For the free-algebra
+polynomials: arithmetic on plain {monomial: value} dicts."""
 
 import heapq
 
-from bicompat.linalg import Matrix, Subspace, rref
+from bicompat.linalg import Subspace
+
+
+def _rref_rows(field, rows):
+    """Full Gauss-Jordan on a list of row lists, in place.  Returns pivot cols."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    zero = field.zero
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if rows[i][c] != zero), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = field.inv(rows[r][c])
+        if inv != field.one:
+            rows[r] = [field.mul(inv, v) for v in rows[r]]
+        top = rows[r]
+        for i in range(nrows):
+            f = rows[i][c]
+            if i != r and f != zero:
+                rows[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(rows[i], top)]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def span_pure(field, ncols, rows):
+    """The span of the dense rows, canonicalized by dense Gauss-Jordan alone."""
+    work = [[field.coerce(v) for v in row] for row in rows]
+    pivots = _rref_rows(field, work)
+    return Subspace._canonical(field, ncols, [tuple(row) for row in work[: len(pivots)]], pivots)
 
 
 def kernel_pure(field, ncols, sparse_rows):
@@ -15,9 +51,8 @@ def kernel_pure(field, ncols, sparse_rows):
         for c, v in rd.items():
             row[c] = field.add(row[c], field.coerce(v))
         dense.append(row)
-    reduced, rank = rref(Matrix(field, dense))
-    rows = reduced.rows[:rank]
-    pivots = [next(c for c, v in enumerate(row) if v != field.zero) for row in rows]
+    pivots = _rref_rows(field, dense)
+    rows = dense[: len(pivots)]
     basis = []
     for fcol in sorted(set(range(ncols)) - set(pivots)):
         vec = [field.zero] * ncols
@@ -25,7 +60,7 @@ def kernel_pure(field, ncols, sparse_rows):
         for row, pc in zip(rows, pivots):
             vec[pc] = field.neg(row[fcol])
         basis.append(vec)
-    return Subspace(field, ncols, basis)
+    return span_pure(field, ncols, basis)
 
 
 def kernel_modp_pivot_rows(rows, ncols, p):

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import random
 import subprocess
 import sys
@@ -7,10 +8,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from _reference import kernel_modp_pivot_rows, kernel_pure
+from _reference import _rref_rows, kernel_modp_pivot_rows, kernel_pure, span_pure
 
 from bicompat import linalg
-from bicompat.algebra import transport_product
+from bicompat.algebra import matrix_inverse, transport_product
 from bicompat.builders import BandSpec, matrix_algebra, rectangular_band_algebra
 from bicompat.compat import Kind, solve_linear
 from bicompat.linalg import (
@@ -241,6 +242,105 @@ def test_solve_properties(field):
         assert (sol.directions.basis, sol.directions.pivots) == (ref.basis, ref.pivots)
 
 
+def diff_matrices(rng, field):
+    """Seeded matrices for the span differential, edge cases first: no rows,
+    ambient 0, zero rows, duplicate and rescaled rows, full rank squares and
+    singular squares, then random shapes."""
+    z = field.zero
+    dup = rand_matrix(rng, field, 2, 5).rows
+    out = [
+        Matrix(field, []),
+        Matrix(field, [(), ()]),
+        Matrix.zeros(field, 3, 4),
+        Matrix(field, [dup[0], dup[1], dup[0], [field.mul(field.coerce(3), v) for v in dup[1]], [z] * 5]),
+        Matrix.identity(field, 4),
+    ]
+    for n in (1, 3, 5):
+        g = rand_invertible(rng, field, n)
+        out.append(g)
+        rows = [list(r) for r in g.rows]
+        rows[-1] = [field.add(a, field.mul(field.coerce(2), b)) for a, b in zip(rows[0], rows[n // 2])]
+        out.append(Matrix(field, rows))  # singular when n > 1
+    return out + [rand_matrix(rng, field, rng.randrange(1, 7), rng.randrange(1, 7)) for _ in range(25)]
+
+
+def solve_pure(m, b):
+    """(particular, directions) of m x = b by dense Gauss-Jordan, or None."""
+    f, nc = m.field, m.ncols
+    work = [list(r) + [bv] for r, bv in zip(m.rows, b)]
+    pivots = _rref_rows(f, work)
+    if pivots and pivots[-1] == nc:
+        return None
+    particular = [f.zero] * nc
+    for row, pc in zip(work, pivots):
+        particular[pc] = row[nc]
+    return tuple(particular), kernel_pure(f, nc, [dict(enumerate(r)) for r in m.rows])
+
+
+def intersect_pure(s, t):
+    """s & t from the kernel of [s.basis^T | -t.basis^T], all by dense Gauss-Jordan."""
+    f, n = s.field, s.ambient_dim
+    coeffs = [dict(enumerate([a[i] for a in s.basis] + [f.neg(b[i]) for b in t.basis])) for i in range(n)]
+    combos = kernel_pure(f, s.dim + t.dim, coeffs).basis
+    vecs = [[f.zero] * n for _ in combos]
+    for vec, kv in zip(vecs, combos):
+        for k, row in zip(kv, s.basis):
+            vec[:] = [f.add(x, f.mul(k, y)) for x, y in zip(vec, row)]
+    return span_pure(f, n, vecs)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(2**31 - 1)], ids=["Q", "F2", "F5", "F2^31-1"])
+def test_engine_spans_match_dense_gauss_jordan(field):
+    # Every echelon form in the library comes from the sparse engine; here
+    # each one is compared with the dense Gauss-Jordan of the test reference.
+    rng = random.Random(2460 + field.characteristic)
+    ms = diff_matrices(rng, field)
+    for m in ms:
+        space, ref = Subspace(field, m.ncols, m.rows), span_pure(field, m.ncols, m.rows)
+        assert (space.basis, space.pivots) == (ref.basis, ref.pivots), m.rows
+        assert all(type(v) is type(field.one) for row in space.basis for v in row)
+        reduced, rank = rref(m)
+        work = [list(r) for r in m.rows]
+        rank_pure = len(_rref_rows(field, work))
+        assert (reduced.rows, rank) == (Matrix(field, work).rows, rank_pure)
+        for b in (m.matvec([rng.randrange(-3, 4) for _ in range(m.ncols)]), [rng.randrange(-3, 4) for _ in m.rows]):
+            sol, ref_sol = solve(m, b), solve_pure(m, [field.coerce(v) for v in b])
+            assert (sol is None) == (ref_sol is None)
+            if sol is not None:
+                assert sol.particular == ref_sol[0]
+                assert (sol.directions.basis, sol.directions.pivots) == (ref_sol[1].basis, ref_sol[1].pivots)
+        if m.nrows == m.ncols:
+            n = m.nrows
+            eye = Matrix.identity(field, n).rows
+            work = [list(r) + list(e) for r, e in zip(m.rows, eye)]
+            if _rref_rows(field, work) == list(range(n)):
+                assert matrix_inverse(m).rows == Matrix(field, [r[n:] for r in work]).rows
+            else:
+                with pytest.raises(LinalgError):
+                    matrix_inverse(m)
+    for m1, m2 in itertools.product(ms, repeat=2):
+        if m1.ncols == m2.ncols:
+            s, t = Subspace(field, m1.ncols, m1.rows), Subspace(field, m2.ncols, m2.rows)
+            for got, want in ((s.intersect(t), intersect_pure(s, t)), (s.sum(t), span_pure(field, s.ambient_dim, s.basis + t.basis))):
+                assert (got.basis, got.pivots) == (want.basis, want.pivots)
+
+
+def test_engine_span_lifts_tall_entries(monkeypatch):
+    # The RREF holds entries of height above 2**31: one prime cannot reconstruct them.
+    rows = [[3**20, 2**31 + 11, 1, 0], [0, 7, 5**13, 1]]
+    used = count_primes(monkeypatch)
+    space, ref = Subspace(QQ, 4, rows), span_pure(QQ, 4, rows)
+    assert (space.basis, space.pivots) == (ref.basis, ref.pivots)
+    assert max(max(abs(v.numerator), v.denominator) for row in space.basis for v in row) > 2**31
+    assert len(used) >= 2
+
+
+def test_engine_span_of_one_long_row():
+    row = rectangular_band_algebra(BandSpec(4, 4), QQ).dot.flatten()
+    space, ref = Subspace(QQ, 4096, [row]), span_pure(QQ, 4096, [row])
+    assert (space.basis, space.pivots) == (ref.basis, ref.pivots)
+
+
 def test_private_linalg_names_stay_in_linalg():
     # The canonical-form helpers are linalg's own: other modules use its public API.
     offenders = []
@@ -399,6 +499,12 @@ def test_kernel_rows_check_zero_like_values(field):
         kernel_from_rows(field, 2, [{0: Scalar.of(GF(7) if field == QQ else QQ, 0)}])
     zeros = [{0: 0, 1: "0"}, {1: Scalar.of(field, 0)}] + ([{0: Fraction(0)}] if field == QQ else [{0: 5}])
     assert kernel_from_rows(field, 2, zeros) == Subspace.full(field, 2)
+
+
+@pytest.mark.parametrize("col", [5, 3, -1, "a", 1.0, True])
+def test_kernel_rows_refuse_bad_columns(col):
+    with pytest.raises(ShapeMismatchError):
+        kernel_from_rows(QQ, 3, [{0: 1}, {col: 1}])
 
 
 def count_primes(monkeypatch):
