@@ -206,67 +206,73 @@ def multiply(p: Product, a, b):
 
 # ---------------------------------------------------------------------------
 # Sparse integer contraction of two products.  Every identity the package
-# checks is a signed sum of the two triple expressions below, each bilinear in
-# its pair of products, so positive rescaling of a product keeps every zero.
+# checks is a signed sum of the two triple expressions of `_walk`, each
+# bilinear in its pair of products, so positive rescaling of a product keeps
+# every zero.
 # Over Q the tables are cleared of denominators; over F_p they hold residues.
 
 
 class _IntTables:
-    """Integer structure constants of a Product, indexed for contraction.
+    """Integer structure constants of a bilinear map, indexed for contraction.
 
-    Entries are s * c for the positive integer `scale` s: the lcm of the
-    denominators over Q, and 1 over F_p, whose residues are integers already.
     `tail[i]` lists (j*n + k, v) for b_i b_j = ... + v b_k; `out[k]` lists
-    ((i*n + j)*n, v), the same entries grouped by output index.
+    ((i*n + j)*n, v), the same entries grouped by output index.  The entries
+    of a Product are s * c for the positive integer `scale` s (see
+    `_int_tables`); those of the unknown tensor in `solve_linear` are column
+    numbers.
     """
 
     __slots__ = ("scale", "tail", "out")
 
-    def __init__(self, p: Product):
-        n = p.dim
-        entries = [(i, j, k, v) for (i, j), col in p.tables.items() for k, v in col.items()]
-        self.scale = s = math.lcm(*(v.denominator for *_, v in entries))
+    def __init__(self, n, entries, scale=1):
+        self.scale = scale
         self.tail = [[] for _ in range(n)]
         self.out = [[] for _ in range(n)]
         for i, j, k, v in entries:
-            v = v.numerator * (s // v.denominator)
             self.tail[i].append((j * n + k, v))
             self.out[k].append(((i * n + j) * n, v))
 
 
 def _int_tables(p: Product) -> _IntTables:
-    """The integer tables of p, built on first use and kept on p."""
+    """The integer tables of p, built on first use and kept on p.
+
+    The scale is the lcm of the denominators over Q, and 1 over F_p, whose
+    residues are integers already."""
     if p._ints is None:
-        p._ints = _IntTables(p)
+        entries = [(i, j, k, v) for (i, j), col in p.tables.items() for k, v in col.items()]
+        s = math.lcm(*(v.denominator for *_, v in entries))
+        ints = [(i, j, k, v.numerator * (s // v.denominator)) for i, j, k, v in entries]
+        p._ints = _IntTables(p.dim, ints, s)
     return p._ints
 
 
-def _outer(acc, p, q, i, n, sign):
-    """acc[(j*n + k)*n + l] += sign * coefficient of b_l in (b_i p b_j) q b_k."""
-    qt = q.tail
-    for jm, v in p.tail[i]:
-        j, m = divmod(jm, n)
-        v *= sign
-        base = j * n * n
-        for kl, w in qt[m]:
-            acc[base + kl] += v * w
+def _walk(p, q, outer, i, n):
+    """The contraction of tables p and q at first index i, as (offset, s, entries).
 
-
-def _inner(acc, p, q, i, n, sign):
-    """acc[(j*n + k)*n + l] += sign * coefficient of b_l in b_i q (b_j p b_k)."""
-    po = p.out
-    for ml, w in q.tail[i]:
-        m, l = divmod(ml, n)
-        w *= sign
-        for jk, v in po[m]:
-            acc[jk + l] += v * w
+    The coefficient of b_l in (b_i p b_j) q b_k when outer, or in
+    b_i q (b_j p b_k) when not, is the sum of s * w over the yielded triples
+    and the (key, w) in their entries with offset + key = (j*n + k)*n + l.
+    s is an entry of the leading factor (p when outer, q when not), and
+    entries is a list of the other factor's.
+    """
+    if outer:
+        qt, nn = q.tail, n * n
+        for jm, s in p.tail[i]:
+            yield jm // n * nn, s, qt[jm % n]
+    else:
+        po = p.out
+        for ml, s in q.tail[i]:
+            yield ml % n, s, po[ml // n]
 
 
 def _slice(terms, n, i):
-    """The signed sum of (p, q, contraction, sign) terms at first index i."""
+    """The signed sum of (p, q, outer, sign) terms at first index i."""
     acc = defaultdict(int)
-    for p, q, contract, sign in terms:
-        contract(acc, p, q, i, n, sign)
+    for p, q, outer, sign in terms:
+        for offset, s, entries in _walk(p, q, outer, i, n):
+            s *= sign
+            for key, w in entries:
+                acc[offset + key] += s * w
     return acc
 
 
@@ -305,7 +311,7 @@ def associativity_witness(p: Product):
     Evaluated once per product and kept on it."""
     if p._assoc is None:
         t = _int_tables(p)
-        p._assoc = (_first_defect([(t, t, _outer, 1), (t, t, _inner, -1)], p.dim, p.field.characteristic),)
+        p._assoc = (_first_defect([(t, t, True, 1), (t, t, False, -1)], p.dim, p.field.characteristic),)
     return p._assoc[0]
 
 

@@ -82,7 +82,7 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge numbers, deep nesting
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -91,8 +91,11 @@ def _dump(doc, out):
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise FileFormatError(f"cannot write {out}: {exc}") from None
 
 
 def _witness_str(alg, witness):

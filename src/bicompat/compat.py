@@ -28,10 +28,10 @@ from .algebra import (
     NonAssociativeError,
     Product,
     _first_defect,
-    _inner,
     _int_tables,
-    _outer,
+    _IntTables,
     _slice_vector,
+    _walk,
     associativity_witness,
     require_associative,
 )
@@ -70,10 +70,10 @@ IDENTITIES = {
     Kind.TOTALLY_COMPATIBLE: (((E1,), (E2,)), ((E2,), (E4,)), ((E4,), (E3,))),
 }
 
-# Each expression as a contraction of a (first, second) pair drawn from
-# (star, dot): E1 = outer(star, dot), E2 = outer(dot, star),
-# E3 = inner(dot, star), E4 = inner(star, dot).
-_EXPRESSIONS = {E1: (_outer, 0, 1), E2: (_outer, 1, 0), E3: (_inner, 1, 0), E4: (_inner, 0, 1)}
+# Each expression as (outer, first, second): the contraction `algebra._walk`
+# of a (first, second) pair drawn from (star, dot).  E1 = outer(star, dot),
+# E2 = outer(dot, star), E3 = inner(dot, star), E4 = inner(star, dot).
+_EXPRESSIONS = {E1: (True, 0, 1), E2: (True, 1, 0), E3: (False, 1, 0), E4: (False, 0, 1)}
 
 
 class InternalContradictionError(AlgebraError):
@@ -125,7 +125,7 @@ def _check_pair(star, dot):
 def _terms(exprs, star, dot, sign):
     """Signed contraction terms of a sum of expressions, on integer tables."""
     pair = (star, dot)
-    return [(pair[a], pair[b], contract, sign) for contract, a, b in map(_EXPRESSIONS.get, exprs)]
+    return [(pair[a], pair[b], outer, sign) for outer, a, b in map(_EXPRESSIONS.get, exprs)]
 
 
 def _identity_defect(identity, star, dot, n, modulus):
@@ -209,42 +209,6 @@ class ProductSpace:
 MAX_UNKNOWNS = 4096
 
 
-def _add_expression(rows, expr, t, i, n, sign):
-    """rows[(j*n + k)*n + l][col] += sign * coefficient of unknown col in expr
-    at basis triple (i, j, k) and output b_l, on the integer tables t of dot.
-
-    The unknown X is the first factor of E1 and E4, the second of E2 and E3.
-    Rows are plain {col: int} dicts, handed to the engine unscaled.
-    """
-    nn = n * n
-    if expr == E1:  # sum_m X[i][j][m] dot[m][k][l]
-        for m in range(n):
-            signed = [(kl, sign * v) for kl, v in t.tail[m]]
-            for j in range(n):
-                col = (i * n + j) * n + m
-                for kl, v in signed:
-                    row = rows[j * nn + kl]
-                    row[col] = row.get(col, 0) + v
-    elif expr == E2:  # sum_m dot[i][j][m] X[m][k][l]
-        for jm, v in t.tail[i]:
-            j, m = divmod(jm, n)
-            v *= sign
-            for col, row in enumerate(rows[j * nn : (j + 1) * nn], m * nn):
-                row[col] = row.get(col, 0) + v
-    elif expr == E3:  # sum_m dot[j][k][m] X[i][m][l]
-        for m in range(n):
-            for jk, v in t.out[m]:
-                v *= sign
-                for col, row in enumerate(rows[jk : jk + n], (i * n + m) * n):
-                    row[col] = row.get(col, 0) + v
-    else:  # E4: sum_m X[j][k][m] dot[i][m][l]
-        for ml, v in t.tail[i]:
-            m, l = divmod(ml, n)
-            v *= sign
-            for col, row in zip(range(m, nn * n, n), rows[l::n]):
-                row[col] = row.get(col, 0) + v
-
-
 def solve_linear(kind: Kind, dot: Product) -> ProductSpace:
     """The full solution space of the notion's identities, as unknown tensor X.
 
@@ -255,14 +219,25 @@ def solve_linear(kind: Kind, dot: Product) -> ProductSpace:
     if n**3 > MAX_UNKNOWNS:
         raise LinalgError(f"{n}^3 = {n**3} unknowns exceed the solver budget of {MAX_UNKNOWNS}")
     require_associative(dot)
+    x = _IntTables(n, [(c // (n * n), c // n % n, c % n, c) for c in range(n**3)])  # X: values are columns
     t = _int_tables(dot)
     rows = {}  # each distinct zero-free row once, in order of first occurrence
     for lhs, rhs in IDENTITIES[kind]:
+        terms = _terms(lhs, x, t, 1) + _terms(rhs, x, t, -1)
         for i in range(n):
             by_slot = [{} for _ in range(n**3)]
-            for exprs, sign in ((lhs, 1), (rhs, -1)):
-                for expr in exprs:
-                    _add_expression(by_slot, expr, t, i, n, sign)
+            for p, q, outer, sign in terms:
+                x_leads = (p if outer else q) is x
+                for offset, s, entries in _walk(p, q, outer, i, n):
+                    if x_leads:  # s is the column, entries hold dot's coefficients
+                        for key, w in entries:
+                            row = by_slot[offset + key]
+                            row[s] = row.get(s, 0) + sign * w
+                    else:  # s is dot's coefficient, entries hold the columns
+                        s *= sign
+                        for key, col in entries:
+                            row = by_slot[offset + key]
+                            row[col] = row.get(col, 0) + s
             for row in filter(None, by_slot):
                 rows[tuple([(c, v) for c, v in row.items() if v])] = None
     rows.pop((), None)  # a row whose terms all cancelled

@@ -92,6 +92,16 @@ def test_gen_example_files(tmp_path, capsys):
         assert code == 0 and hashlib.sha256(data).hexdigest()[:16] == digest, (name, field)
 
 
+def test_gen_unwritable_output_exit_two(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x"
+    for argv in (
+        ("gen", "band", "--rows", "2", "--cols", "2", "-o", f"{missing}.json"),
+        ("gen", "example", "--name", "3dim", "--prefix", str(missing)),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "input error" in err, argv
+
+
 def test_check_holds_exit_zero(example_files, capsys):
     code, out, _ = run_cli(
         capsys, "check", example_files["algebra"], example_files["star"], "--kinds", "swap-matching"
@@ -130,9 +140,12 @@ def test_check_machine_output(example_files, capsys):
 
 def test_check_malformed_file_exit_two(tmp_path, example_files, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{nope")
-    code, _, err = run_cli(capsys, "check", str(bad), example_files["star"], "--kinds", "compatible")
-    assert code == 2 and "input error" in err
+    # not JSON, not UTF-8, nested too deep, an integer past the digit limit
+    for data in (b"{nope", b'{"dim": "\xff"}', b"[" * 100000, b'{"dim": ' + b"9" * 5000 + b"}"):
+        bad.write_bytes(data)
+        code, _, err = run_cli(capsys, "check", str(bad), example_files["star"], "--kinds", "compatible")
+        assert code == 2 and "input error" in err, data[:16]
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -491,6 +491,7 @@ def test_evaluator_matches_reference(field):
         for kind in Kind:
             # includes the failing compatible space of the 3-dim example
             ps = solve_linear(kind, dot)
+            assert all(_reference_check(kind, p, dot).holds for p in ps.basis_products()), kind
             assert all_members_associative(ps) == _reference_certificate(ps)
 
 

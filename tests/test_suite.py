@@ -1,9 +1,10 @@
-"""Negative controls for the suite entries that compare solution spaces.
+"""Negative controls for suite entries.
 
-Each entry below must fail when one of the spaces it compares loses a basis
-vector: the listed kind's cached solution space, or the named span.  The
-targets are chosen so that no other check of the entry (idempotency,
-one-sided units, the dimension checks) can catch the loss.
+Each entry in CASES must fail when one of the spaces it compares loses a
+basis vector: the listed kind's cached solution space, or the named span.
+The targets are chosen so that no other check of the entry (idempotency,
+one-sided units, the dimension checks) can catch the loss.  `prop-4.2` must
+fail when its truncated verification refuses a star.
 """
 
 import dataclasses
@@ -48,3 +49,14 @@ def test_entry_fails_when_a_compared_space_loses_a_vector(monkeypatch, entry_id,
         span = getattr(suite, target)
         monkeypatch.setattr(suite, target, lambda dot: _less_one(span(dot)))
     assert ENTRIES[entry_id]()[0] is False
+
+
+def test_prop_42_fails_when_truncated_verification_refuses(monkeypatch):
+    assert ENTRIES["prop-4.2"]()[0]
+
+    def refuse(sm, degree):
+        assert degree == sm.max_degree() + 3
+        raise suite.ConditionNotVerifiedError("refused")
+
+    monkeypatch.setattr(suite, "verify_id_matching_truncated", refuse)
+    assert ENTRIES["prop-4.2"]()[0] is False
